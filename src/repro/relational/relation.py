@@ -57,7 +57,17 @@ TokenRow = tuple[int, ...]
 """One stored row: cell token ids in canonical attribute order."""
 
 
-@lru_cache(maxsize=None)
+#: Entry bound of each process-wide flyweight cache (here and in
+#: :mod:`repro.search.problem`).  The key spaces are not small: a search
+#: reaches every partially renamed schema of its relations, so one Fig. 5
+#: series of n=5-7 pairs puts about 36k triples into :func:`_rename_schema`
+#: alone, and a long-lived process serving distinct schemas would grow
+#: without limit.  2**16 entries hold such a series whole, so repeated
+#: requests keep hitting, while LRU eviction caps the memory.
+FLYWEIGHT_CACHE_SIZE = 2**16
+
+
+@lru_cache(maxsize=FLYWEIGHT_CACHE_SIZE)
 def _rename_schema(
     attrs: tuple[str, ...], pos: int, new: str
 ) -> tuple[tuple[str, ...], tuple[int, ...] | None, dict[str, int]]:
@@ -66,10 +76,11 @@ def _rename_schema(
     For canonical *attrs* with position *pos* renamed to *new*, returns the
     child's canonical attribute tuple, the column permutation to apply to
     token rows (``None`` when positions are unchanged), and the child's
-    attribute index.  Rename edges draw from one problem's small schema
-    vocabulary, so each triple is computed once per process; the returned
-    index dict is shared between relations and must never be mutated
-    (:class:`Relation` treats ``_index`` as read-only).
+    attribute index.  The same rename edge recurs across iterations,
+    backtracks and repeated requests, so each triple is computed once while
+    it stays in the bounded cache; the returned index dict is shared between
+    relations and must never be mutated (:class:`Relation` treats
+    ``_index`` as read-only).
     """
     renamed = list(attrs)
     renamed[pos] = new
@@ -79,9 +90,9 @@ def _rename_schema(
     return canonical, perm, {a: i for i, a in enumerate(canonical)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FLYWEIGHT_CACHE_SIZE)
 def _interned_name_set(names: tuple[str, ...] | frozenset[str]) -> frozenset[int]:
-    """Token ids for a (small, schema-vocabulary) set of names, memoised.
+    """Token ids for a set of schema names, memoised (bounded LRU).
 
     Attribute/relation-name id sets recur across every state whose schema
     shares the names; one process-wide entry per distinct name collection

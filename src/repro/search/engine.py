@@ -8,6 +8,8 @@ expression in L together with search statistics.
 
 from __future__ import annotations
 
+import functools
+import gc
 from typing import Callable, Sequence
 
 from ..errors import (
@@ -61,6 +63,35 @@ ALGORITHMS: dict[str, SearchAlgorithm] = {
 ALGORITHM_NAMES: tuple[str, ...] = tuple(ALGORITHMS)
 
 
+def _cyclic_gc_paused(func):
+    """Run *func* with automatic cyclic garbage collection paused.
+
+    A search frees itself by reference counting: no algorithm, heuristic
+    or store path leaves cyclic garbage behind (``tests/test_gc_policy.py``
+    checks every algorithm x heuristic x outcome), so automatic passes
+    during a search would find nothing while traversing the whole live
+    search heap.  The caller's collector state is restored on every exit,
+    and only after *func*'s frame — the problem, heuristic and their
+    tables — has been released, so the first pass after resuming sees only
+    what the call returned.  Nested calls leave the collector as the
+    outermost caller had it; so do overlapping calls from several threads,
+    because every call that switched the collector off switches it back on.
+    """
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
+@_cyclic_gc_paused
 def discover_mapping(
     source: Database,
     target: Database,

@@ -2,10 +2,15 @@
 
 IDA* performs repeated depth-first probes bounded by the f-value
 ``f(x) = g(x) + h(x)``, raising the bound to the smallest exceeded f after
-each probe.  Memory is linear in the search depth; the price is re-expansion
-of shallow states on every iteration — which the paper accepts ("although
-they both perform redundant explorations, they do not suffer from the
-exponential memory use of basic A*").
+each probe.  The algorithm's own memory (the path and its on-path set) is
+linear in the search depth; the price is re-expansion of shallow states on
+every iteration — which the paper accepts ("although they both perform
+redundant explorations, they do not suffer from the exponential memory use
+of basic A*").  Here those re-expansions are served from the problem's
+transposition table and the heuristic memo, which keep every distinct state
+examined unless ``SearchConfig.cache_capacity`` bounds them, so a run's
+footprint grows with the states it examines, not with its depth.  All of it
+is freed by reference counting when the run returns.
 """
 
 from __future__ import annotations
@@ -66,14 +71,21 @@ def ida_star(
                 minimum = outcome
         return minimum
 
-    bound: float = heuristic(root)
-    while True:
-        stats.iteration(bound=bound)
-        outcome = probe(root, None, 0, bound)
-        if outcome is _FOUND:
-            return list(path_ops)
-        if math.isinf(outcome):
-            raise MappingNotFound(
-                f"IDA* exhausted the search space (final bound {bound})"
-            )
-        bound = outcome
+    try:
+        bound: float = heuristic(root)
+        while True:
+            stats.iteration(bound=bound)
+            outcome = probe(root, None, 0, bound)
+            if outcome is _FOUND:
+                return list(path_ops)
+            if math.isinf(outcome):
+                raise MappingNotFound(
+                    f"IDA* exhausted the search space (final bound {bound})"
+                )
+            bound = outcome
+    finally:
+        # probe refers to itself through its closure cell, a cycle that
+        # would keep the problem and its tables alive until a full
+        # collection; emptying the cell lets reference counting free the
+        # run on every outcome.
+        del probe

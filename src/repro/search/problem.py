@@ -65,7 +65,11 @@ from ..obs.events import CACHE_HIT, CACHE_MISS, GENERATE, GOAL_TEST
 from ..relational import caching
 from ..relational.database import Database
 from ..relational.intern import intern_value
-from ..relational.relation import Relation, _interned_name_set
+from ..relational.relation import (
+    FLYWEIGHT_CACHE_SIZE,
+    Relation,
+    _interned_name_set,
+)
 from ..relational.summary import attach_provenance
 from ..relational.types import NULL, is_null
 from ..semantics.correspondence import Correspondence
@@ -97,17 +101,17 @@ _GOAL_MISS = object()
 
 
 # Flyweight constructors for the operators proposed in per-attribute loops.
-# Operators are frozen values over a small schema vocabulary (relation and
-# attribute names of one problem), so proposal can reuse one instance per
-# argument triple instead of re-running a dataclass __init__ once per
-# expansion.  Unbounded caches are safe: the key space is the cross product
-# of schema names, which is tiny and process-stable.
-@lru_cache(maxsize=None)
+# Operators are frozen values over one problem's relation and attribute
+# names, so proposal can reuse one instance per argument triple instead of
+# re-running a dataclass __init__ once per expansion.  The key space grows
+# with every distinct schema a process serves, so the caches are bounded
+# (FLYWEIGHT_CACHE_SIZE, LRU) like the relation-level flyweights.
+@lru_cache(maxsize=FLYWEIGHT_CACHE_SIZE)
 def _rename_attribute_op(relation: str, old: str, new: str) -> RenameAttribute:
     return RenameAttribute(relation, old, new)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FLYWEIGHT_CACHE_SIZE)
 def _sorted_names(names: frozenset[str]) -> tuple[str, ...]:
     """Deterministic ordering of a schema-vocabulary name set, memoised.
 
@@ -117,12 +121,12 @@ def _sorted_names(names: frozenset[str]) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FLYWEIGHT_CACHE_SIZE)
 def _dereference_op(relation: str, pointer: str, new: str) -> Dereference:
     return Dereference(relation, pointer, new)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FLYWEIGHT_CACHE_SIZE)
 def _promote_op(relation: str, name_attr: str, value_attr: str) -> Promote:
     return Promote(relation, name_attr, value_attr)
 
@@ -1129,13 +1133,14 @@ def _decode_state(refs: Sequence[int], relations: Sequence[Relation]) -> Databas
     return Database._from_sorted(rels)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FLYWEIGHT_CACHE_SIZE)
 def _operator_from_text(text: str) -> Operator:
-    """One operator parsed from its textual form, memoised.
+    """One operator parsed from its textual form, memoised (bounded LRU).
 
-    The operator vocabulary of a spill is the cross product of one
-    problem's schema names — tiny and process-stable, so an unbounded
-    cache is safe (same reasoning as the flyweight constructors above).
+    A spill's operators are drawn from one problem's schema names, so the
+    same texts recur across the spills a store serves; like the flyweight
+    constructors above, the cache is bounded because the names of every
+    schema the process has served accumulate in it.
     """
     from ..fira.parser import parse_expression
 

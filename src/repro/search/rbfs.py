@@ -1,10 +1,14 @@
 """Recursive Best-First Search (RBFS), the paper's second algorithm (§2.3).
 
-RBFS explores best-first within linear memory: at each node it recurses
-into the lowest-f child with an f-limit equal to the best *alternative*
-f-value anywhere on the current path, and on return stores the child's
-backed-up f so abandoned subtrees can be re-entered at the right cost
-later.  The paper found RBFS generally superior to IDA* (§5.4).
+RBFS explores best-first with memory linear in the depth: at each node it
+recurses into the lowest-f child with an f-limit equal to the best
+*alternative* f-value anywhere on the current path, and on return stores the
+child's backed-up f so abandoned subtrees can be re-entered at the right
+cost later.  The paper found RBFS generally superior to IDA* (§5.4).  As in
+:mod:`repro.search.ida`, the linear bound covers the recursion only: the
+problem's transposition table and the heuristic memo keep every distinct
+state examined unless ``SearchConfig.cache_capacity`` bounds them, and the
+run is freed by reference counting when it returns.
 """
 
 from __future__ import annotations
@@ -94,4 +98,8 @@ def rbfs(
         visit(root, None, 0, root_f, math.inf)
     except _Found:
         return list(path_ops)
+    finally:
+        # Break visit's self-reference (see ida_star) so the finished
+        # run is freed by reference counting.
+        del visit
     raise MappingNotFound("RBFS exhausted the search space")

@@ -7,9 +7,23 @@ import dataclasses
 import pytest
 
 from repro.fira import RenameAttribute
-from repro.relational import Database
-from repro.search import MappingProblem, SearchConfig, SearchStats
+from repro.relational import Database, Relation
+from repro.relational import relation as relation_module
+from repro.relational.relation import FLYWEIGHT_CACHE_SIZE
+from repro.search import MappingProblem, SearchConfig, SearchStats, discover_mapping
+from repro.search import problem as problem_module
 from repro.workloads import matching_pair
+
+#: the process-wide memo caches shared by every search
+FLYWEIGHTS = (
+    relation_module._rename_schema,
+    relation_module._interned_name_set,
+    problem_module._sorted_names,
+    problem_module._rename_attribute_op,
+    problem_module._dereference_op,
+    problem_module._promote_op,
+    problem_module._operator_from_text,
+)
 
 
 def make_problem(**config_kwargs) -> MappingProblem:
@@ -176,3 +190,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(cache_capacity=0)
         assert SearchConfig(cache_capacity=1).cache_capacity == 1
+
+
+class TestFlyweightBounds:
+    def test_every_flyweight_cache_is_bounded(self):
+        for cache in FLYWEIGHTS:
+            assert cache.cache_parameters()["maxsize"] == FLYWEIGHT_CACHE_SIZE
+
+    def test_many_distinct_pairs_stay_within_the_bound(self):
+        # Every rename below produces a schema no earlier one did, as a
+        # long-lived process serving distinct sources keeps doing.
+        base = Relation("R", ("A",), [(1,)])
+        for i in range(FLYWEIGHT_CACHE_SIZE + 1024):
+            base.rename_attribute("A", f"B{i}").attribute_ids()
+        for i in range(8):
+            pair = matching_pair(3, relation_name=f"Pair{i}")
+            result = discover_mapping(
+                pair.source, pair.target, algorithm="ida", heuristic="h0"
+            )
+            assert result.found
+        for cache in FLYWEIGHTS:
+            assert cache.cache_info().currsize <= FLYWEIGHT_CACHE_SIZE
