@@ -262,14 +262,14 @@ def _compile_merge(op: Merge, db: Database, d: SqlDialect) -> list[str]:
     rel = db.relation(op.relation)
     key = d.quote_identifier(op.attribute)
     others = [a for a in rel.attributes if a != op.attribute]
-    aggregates = ", ".join(
+    aggregates = [
         f"MAX({d.quote_identifier(a)}) AS {d.quote_identifier(a)}" for a in others
-    )
+    ]
     passthrough_cols = ", ".join(
         [key, *(d.quote_identifier(a) for a in others)]
     )
     grouped = (
-        f"SELECT {key}, {aggregates} "
+        f"SELECT {', '.join([key, *aggregates])} "
         f"FROM {d.quote_identifier(op.relation)} "
         f"WHERE {key} IS NOT NULL "
         f"GROUP BY {key}"

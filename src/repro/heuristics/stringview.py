@@ -8,19 +8,28 @@ the target string, normalized by the longer length and scaled to ``[0, k]``.
 
 from __future__ import annotations
 
-from ..relational import caching
+from functools import cache
+
 from ..relational.database import Database
-from ..relational.summary import database_summary
 from ..relational.tnf import database_string
 from .base import ScaledHeuristic, round_half_up
 
-try:  # numpy accelerates the DP rows; the pure-Python path remains correct
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a soft dependency
-    _np = None
-
 #: below this size the pure-Python DP beats numpy's per-call overhead
 _NUMPY_THRESHOLD = 64
+
+
+@cache
+def _numpy():
+    """numpy, imported on first use (it is a large share of import time).
+
+    Returns None when numpy is not installed; the pure-Python path remains
+    correct without it.
+    """
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - numpy is a soft dependency
+        return None
+    return numpy
 
 
 def _levenshtein_python(left: str, right: str) -> int:
@@ -37,25 +46,25 @@ def _levenshtein_python(left: str, right: str) -> int:
     return previous[-1]
 
 
-def _levenshtein_numpy(left: str, right: str) -> int:
+def _levenshtein_numpy(np, left: str, right: str) -> int:
     """Row-vectorised DP.
 
     Substitution/deletion are elementwise; the insertion chain
     ``cur[j] <= cur[j-1] + 1`` is closed with the classic trick
     ``cur = min.accumulate(cur - j) + j``.
     """
-    right_codes = _np.frombuffer(right.encode("utf-32-le"), dtype=_np.uint32)
+    right_codes = np.frombuffer(right.encode("utf-32-le"), dtype=np.uint32)
     n = len(right)
-    offsets = _np.arange(n + 1, dtype=_np.int64)
+    offsets = np.arange(n + 1, dtype=np.int64)
     previous = offsets.copy()
-    current = _np.empty(n + 1, dtype=_np.int64)
+    current = np.empty(n + 1, dtype=np.int64)
     for i, lchar in enumerate(left, start=1):
         current[0] = i
         substitute = previous[:-1] + (right_codes != ord(lchar))
         delete = previous[1:] + 1
-        current[1:] = _np.minimum(substitute, delete)
+        current[1:] = np.minimum(substitute, delete)
         current -= offsets
-        _np.minimum.accumulate(current, out=current)
+        np.minimum.accumulate(current, out=current)
         current += offsets
         previous, current = current, previous
     return int(previous[-1])
@@ -70,8 +79,10 @@ def levenshtein(left: str, right: str) -> int:
         left, right = right, left
     if not right:
         return len(left)
-    if _np is not None and len(right) >= _NUMPY_THRESHOLD:
-        return _levenshtein_numpy(left, right)
+    if len(right) >= _NUMPY_THRESHOLD:
+        np = _numpy()
+        if np is not None:
+            return _levenshtein_numpy(np, left, right)
     return _levenshtein_python(left, right)
 
 
@@ -87,17 +98,7 @@ class LevenshteinHeuristic(ScaledHeuristic):
         self._target_string = database_string(target)
 
     def estimate(self, state: Database) -> int:
-        if caching.incremental_heuristics_enabled():
-            # Rebuild the string view from the delta-maintained summary's
-            # triple counts instead of the TNF cell walk; same multiset of
-            # per-cell terms, same sort, same string — cached under the
-            # same view key, so the arms share work when mixed.
-            state_string = state.cached_view(
-                "database_string",
-                lambda: database_summary(state).to_database_string(),
-            )
-        else:
-            state_string = database_string(state)
+        state_string = database_string(state)
         longest = max(len(state_string), len(self._target_string))
         if longest == 0:
             return 0

@@ -19,9 +19,9 @@ from bisect import bisect_right
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import NameCollisionError, SchemaError, UnknownRelationError
-from . import caching
+from .intern import TEXTS
 from .relation import Relation
-from .types import Value, is_null, value_to_text
+from .types import Value
 
 
 class Database:
@@ -70,13 +70,10 @@ class Database:
         for the database's lifetime; later calls return the stored object.
         Stored views must be immutable (tuple/frozenset/str/int).  The TNF
         views in :mod:`repro.relational.tnf` cache through this hook.
-        Respects the :mod:`~repro.relational.caching` ablation switch.
         """
         try:
             return self._views[key]
         except KeyError:
-            if not caching.view_caching_enabled():
-                return compute()
             value = self._views[key] = compute()
             return value
 
@@ -172,11 +169,7 @@ class Database:
         """
 
         def compute() -> frozenset[str]:
-            if caching.columnar_kernel_enabled():
-                from .intern import TEXTS
-
-                return frozenset(TEXTS[i] for i in self.value_text_ids())
-            return frozenset(value_to_text(v) for v in self.value_set())
+            return frozenset(TEXTS[i] for i in self.value_text_ids())
 
         return self.cached_view("value_texts", compute)
 
@@ -195,8 +188,7 @@ class Database:
         for rel in self._relations:
             ids.update(rel.value_text_ids())
         value = frozenset(ids)
-        if caching.view_caching_enabled():
-            views["value_text_ids"] = value
+        views["value_text_ids"] = value
         return value
 
     @property

@@ -15,11 +15,6 @@ per-token instead of recomputed per relation.  The value-level API
 (:attr:`rows`, :meth:`column_values`, ...) is unchanged: value rows are a
 derived view reconstructed from the tokens on demand.
 
-The :mod:`~repro.relational.caching` columnar kill switch selects between
-the token fast paths and the legacy value/text computations; both produce
-identical results (the token mapping is equality-faithful), so the switch
-is purely a cost-model ablation.
-
 Immutability also makes every derived view (sorted rows, column value sets,
 column text sets, ...) a pure function of the relation, so views are computed
 lazily once and memoised for the lifetime of the value — IDA*/RBFS re-visit
@@ -36,7 +31,6 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import SchemaError, UnknownAttributeError
-from . import caching
 from .intern import (
     NULL_TOKEN,
     SORT_KEYS,
@@ -45,7 +39,7 @@ from .intern import (
     VALUES,
     intern_value,
 )
-from .types import NULL, Value, check_value, is_null, value_sort_key, value_to_text
+from .types import NULL, Value, is_null, value_to_text
 
 #: sentinel distinguishing "view absent" from legitimately-falsy view values
 #: (``has_nulls`` caches booleans) during view transplantation
@@ -215,13 +209,10 @@ class Relation:
         Stored views must be immutable (tuple/frozenset/str/int) and never
         ``None`` — the hottest accessors bypass this method with a plain
         ``self._views.get(key)`` probe and treat ``None`` as a miss.
-        Respects the :mod:`~repro.relational.caching` ablation switch.
         """
         try:
             return self._views[key]
         except KeyError:
-            if not caching.view_caching_enabled():
-                return compute()
             value = self._views[key] = compute()
             return value
 
@@ -273,18 +264,14 @@ class Relation:
         if hit is not None:
             return hit
         value = frozenset(self._attributes)
-        if caching.view_caching_enabled():
-            views["attribute_set"] = value
+        views["attribute_set"] = value
         return value
 
     @property
     def rows(self) -> frozenset[Row]:
         """Rows as value tuples aligned with :attr:`attributes`.
 
-        A derived view of the token storage, memoised unconditionally (it
-        plays the role the primary storage played before the columnar
-        rewrite, so even the cache-ablation arms keep it — the legacy cost
-        model treats value rows as free).
+        A derived view of the token storage, memoised.
         """
         try:
             return self._views["value_rows"]
@@ -341,17 +328,12 @@ class Relation:
 
     def column_values(self, attr: str, include_null: bool = False) -> frozenset[Value]:
         """The set of values appearing in column *attr* (memoised)."""
-        pos = self.attribute_position(attr)
+        self.attribute_position(attr)  # raise early with a precise error
 
         def compute() -> frozenset[Value]:
-            if caching.columnar_kernel_enabled():
-                values = VALUES
-                tokens = self.column_tokens(attr, include_null=include_null)
-                return frozenset(values[t] for t in tokens)
-            values = (row[pos] for row in self.rows)
-            if include_null:
-                return frozenset(values)
-            return frozenset(v for v in values if not is_null(v))
+            values = VALUES
+            tokens = self.column_tokens(attr, include_null=include_null)
+            return frozenset(values[t] for t in tokens)
 
         return self.cached_view(("column_values", attr, include_null), compute)
 
@@ -366,8 +348,7 @@ class Relation:
         tokens = frozenset(trow[pos] for trow in self._token_rows)
         if not include_null:
             tokens -= {NULL_TOKEN}
-        if caching.view_caching_enabled():
-            views[key] = tokens
+        views[key] = tokens
         return tokens
 
     def column_texts(self, attr: str) -> frozenset[str]:
@@ -380,12 +361,8 @@ class Relation:
         self.attribute_position(attr)  # raise early with a precise error
 
         def compute() -> frozenset[str]:
-            if caching.columnar_kernel_enabled():
-                texts = TEXTS
-                return frozenset(texts[i] for i in self.column_text_ids(attr))
-            return frozenset(
-                value_to_text(v) for v in self.column_values(attr)
-            )
+            texts = TEXTS
+            return frozenset(texts[i] for i in self.column_text_ids(attr))
 
         return self.cached_view(("column_texts", attr), compute)
 
@@ -406,8 +383,7 @@ class Relation:
             frozenset(text_ids[t] for t in self.column_tokens(attr))
             for attr in self._attributes
         )
-        if caching.view_caching_enabled():
-            views["column_text_id_sets"] = value
+        views["column_text_id_sets"] = value
         return value
 
     def column_text_ids(self, attr: str) -> frozenset[int]:
@@ -426,17 +402,10 @@ class Relation:
         """The set of all data values appearing anywhere (memoised)."""
 
         def compute() -> frozenset[Value]:
-            if caching.columnar_kernel_enabled():
-                values = VALUES
-                return frozenset(
-                    values[t] for t in self.value_tokens(include_null=include_null)
-                )
-            out: set[Value] = set()
-            for row in self.rows:
-                for v in row:
-                    if include_null or not is_null(v):
-                        out.add(v)
-            return frozenset(out)
+            values = VALUES
+            return frozenset(
+                values[t] for t in self.value_tokens(include_null=include_null)
+            )
 
         return self.cached_view(("value_set", include_null), compute)
 
@@ -469,8 +438,7 @@ class Relation:
         if hit is not None:
             return hit
         value = _interned_name_set(self._attributes)
-        if caching.view_caching_enabled():
-            views["attribute_ids"] = value
+        views["attribute_ids"] = value
         return value
 
     def schema_name_ids(self) -> frozenset[int]:
@@ -484,8 +452,7 @@ class Relation:
         if hit is not None:
             return hit
         value = self.attribute_ids() | {intern_value(self._name)}
-        if caching.view_caching_enabled():
-            views["schema_name_ids"] = value
+        views["schema_name_ids"] = value
         return value
 
     @property
@@ -493,9 +460,7 @@ class Relation:
         """Whether any tuple contains a NULL (memoised)."""
 
         def compute() -> bool:
-            if caching.columnar_kernel_enabled():
-                return any(NULL_TOKEN in trow for trow in self._token_rows)
-            return any(any(is_null(v) for v in row) for row in self.rows)
+            return any(NULL_TOKEN in trow for trow in self._token_rows)
 
         return self.cached_view("has_nulls", compute)
 
@@ -511,17 +476,9 @@ class Relation:
         """The memoised, immutable form of :meth:`sorted_rows`."""
 
         def compute() -> tuple[Row, ...]:
-            if caching.columnar_kernel_enabled():
-                values = VALUES
-                return tuple(
-                    tuple(values[t] for t in trow)
-                    for trow in self.sorted_token_rows()
-                )
+            values = VALUES
             return tuple(
-                sorted(
-                    self.rows,
-                    key=lambda row: tuple(value_sort_key(v) for v in row),
-                )
+                tuple(values[t] for t in trow) for trow in self.sorted_token_rows()
             )
 
         return self.cached_view("sorted_rows", compute)
@@ -567,8 +524,7 @@ class Relation:
         and the transfer is a single tuple permutation sharing the member
         frozensets.  Unless *columns_only*, whole-relation cell aggregates
         (value text ids, has-nulls) transfer too; those are
-        permutation-invariant but not projection-safe.  Callers must hold
-        the view-caching switch enabled.
+        permutation-invariant but not projection-safe.
         """
         src = self._views
         if not src:
@@ -593,8 +549,6 @@ class Relation:
 
     def renamed(self, new_name: str) -> "Relation":
         """A copy of this relation under a new name."""
-        if not caching.columnar_kernel_enabled():
-            return Relation(new_name, self._attributes, self.rows)
         if not isinstance(new_name, str) or not new_name:
             raise SchemaError(
                 f"relation name must be a non-empty string, got {new_name!r}"
@@ -603,21 +557,20 @@ class Relation:
         child = Relation._from_token_rows(
             new_name, self._attributes, self._token_rows, self._index
         )
-        if caching.view_caching_enabled():
-            self._seed_column_views(child)
-            src, dst = self._views, child._views
-            miss = _TRANSPLANT_MISS
-            # name-independent whole-relation views (rows and schema shared)
-            for key in (
-                "attribute_set",
-                "attribute_ids",
-                "sorted_token_rows",
-                "sorted_rows",
-                "value_rows",
-            ):
-                hit = src.get(key, miss)
-                if hit is not miss:
-                    dst[key] = hit
+        self._seed_column_views(child)
+        src, dst = self._views, child._views
+        miss = _TRANSPLANT_MISS
+        # name-independent whole-relation views (rows and schema shared)
+        for key in (
+            "attribute_set",
+            "attribute_ids",
+            "sorted_token_rows",
+            "sorted_rows",
+            "value_rows",
+        ):
+            hit = src.get(key, miss)
+            if hit is not miss:
+                dst[key] = hit
         return child
 
     def rename_attribute(self, old: str, new: str) -> "Relation":
@@ -628,10 +581,6 @@ class Relation:
                 f"cannot rename {old!r} to {new!r}: attribute already exists "
                 f"in relation {self._name!r}"
             )
-        if not caching.columnar_kernel_enabled():
-            attrs = list(self._attributes)
-            attrs[pos] = new
-            return Relation(self._name, attrs, self.rows)
         if not isinstance(new, str) or not new:
             raise SchemaError(
                 f"attribute names must be non-empty strings, got {new!r} "
@@ -648,38 +597,33 @@ class Relation:
             token_rows = views.get(("permuted_rows", perm))
             if token_rows is None:
                 token_rows = frozenset(map(itemgetter(*perm), self._token_rows))
-                if caching.view_caching_enabled():
-                    views[("permuted_rows", perm)] = token_rows
+                views[("permuted_rows", perm)] = token_rows
         child = Relation._from_token_rows(
             self._name, canonical_attrs, token_rows, index
         )
-        if caching.view_caching_enabled():
-            # transplant inlined from _seed_column_views: renames sit on the
-            # hottest operator path.  Child column i carries parent column
-            # perm[i] (the same permutation applied to the token rows;
-            # identity when shared).
-            src = self._views
-            if src:
-                dst = child._views
-                cols = src.get("column_text_id_sets")
-                if cols is not None:
-                    dst["column_text_id_sets"] = (
-                        cols if perm is None else tuple(map(cols.__getitem__, perm))
-                    )
-                hit = src.get("value_text_ids")
-                if hit is not None:
-                    dst["value_text_ids"] = hit
-                hit = src.get("has_nulls", _TRANSPLANT_MISS)
-                if hit is not _TRANSPLANT_MISS:
-                    dst["has_nulls"] = hit
+        # transplant inlined from _seed_column_views: renames sit on the
+        # hottest operator path.  Child column i carries parent column
+        # perm[i] (the same permutation applied to the token rows;
+        # identity when shared).
+        src = self._views
+        if src:
+            dst = child._views
+            cols = src.get("column_text_id_sets")
+            if cols is not None:
+                dst["column_text_id_sets"] = (
+                    cols if perm is None else tuple(map(cols.__getitem__, perm))
+                )
+            hit = src.get("value_text_ids")
+            if hit is not None:
+                dst["value_text_ids"] = hit
+            hit = src.get("has_nulls", _TRANSPLANT_MISS)
+            if hit is not _TRANSPLANT_MISS:
+                dst["has_nulls"] = hit
         return child
 
     def project(self, attrs: Sequence[str]) -> "Relation":
         """Projection onto *attrs* (set semantics: duplicate rows collapse)."""
         positions = [self.attribute_position(a) for a in attrs]
-        if not caching.columnar_kernel_enabled():
-            rows = {tuple(row[p] for p in positions) for row in self.rows}
-            return Relation(self._name, attrs, rows)
         attrs = tuple(attrs)
         if not attrs:
             raise SchemaError(
@@ -701,10 +645,9 @@ class Relation:
                 map(itemgetter(*canonical_positions), self._token_rows)
             )
         child = Relation._from_token_rows(self._name, canonical_attrs, token_rows)
-        if caching.view_caching_enabled():
-            # duplicate-row collapse never removes the last copy of a value,
-            # so surviving columns keep their exact value sets
-            self._seed_column_views(child, canonical_positions, columns_only=True)
+        # duplicate-row collapse never removes the last copy of a value,
+        # so surviving columns keep their exact value sets
+        self._seed_column_views(child, canonical_positions, columns_only=True)
         return child
 
     def drop_attribute(self, attr: str) -> "Relation":
@@ -726,12 +669,6 @@ class Relation:
             raise SchemaError(
                 f"cannot extend {self._name!r} with {attr!r}: attribute already exists"
             )
-        if not caching.columnar_kernel_enabled():
-            new_rows = []
-            for row in self.rows:
-                row_dict = dict(zip(self._attributes, row))
-                new_rows.append(row + (check_value(compute(row_dict)),))
-            return Relation(self._name, self._attributes + (attr,), new_rows)
         if not isinstance(attr, str) or not attr:
             raise SchemaError(
                 f"attribute names must be non-empty strings, got {attr!r} "
@@ -757,13 +694,6 @@ class Relation:
 
     def filter_rows(self, predicate: Callable[[dict[str, Value]], bool]) -> "Relation":
         """Relational selection: keep rows whose dict satisfies *predicate*."""
-        if not caching.columnar_kernel_enabled():
-            kept = [
-                row
-                for row in self.rows
-                if predicate(dict(zip(self._attributes, row)))
-            ]
-            return Relation(self._name, self._attributes, kept)
         values = VALUES
         attributes = self._attributes
         kept_tokens = frozenset(
@@ -787,26 +717,14 @@ class Relation:
         if not other.attribute_set <= self.attribute_set:
             return False
 
-        if caching.columnar_kernel_enabled():
-            def compute_tokens() -> frozenset[TokenRow]:
-                positions = [self._index[a] for a in other.attributes]
-                return frozenset(
-                    tuple(trow[p] for p in positions) for trow in self._token_rows
-                )
-
-            projected_tokens = self.cached_view(
-                ("token_projection", other.attributes), compute_tokens
-            )
-            return other.token_rows <= projected_tokens
-
-        def compute() -> frozenset[Row]:
-            positions = [self.attribute_position(a) for a in other.attributes]
+        def compute() -> frozenset[TokenRow]:
+            positions = [self._index[a] for a in other.attributes]
             return frozenset(
-                tuple(row[p] for p in positions) for row in self.rows
+                tuple(trow[p] for p in positions) for trow in self._token_rows
             )
 
-        projected = self.cached_view(("projection", other.attributes), compute)
-        return other.rows <= projected
+        projected = self.cached_view(("token_projection", other.attributes), compute)
+        return other.token_rows <= projected
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):

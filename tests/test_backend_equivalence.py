@@ -239,6 +239,12 @@ class TestDegenerateInputs:
             db,
         )
 
+    def test_merge_single_attribute_relation(self):
+        """Merge on a relation whose only attribute is the key: no aggregates."""
+        db = Database.single(Relation("R", ("A",), [("x",), ("y",)]))
+        assert {"sqlite", "minisql"} <= set(BACKENDS)
+        assert_all_backends_match(MappingExpression([Merge("R", "A")]), db)
+
     def test_select_to_empty(self):
         db = Database.single(Relation("R", ("A",), [("x",), ("y",)]))
         assert_all_backends_match(

@@ -19,12 +19,12 @@ def bench_history():
     return module
 
 
-def _write_kernel_json(path: Path, vs_seed: float, vs_memoized: float) -> Path:
+def _write_kernel_json(path: Path, headline: float, cosine: float) -> Path:
     payload = {
-        "headline": {"vs_seed": vs_seed, "vs_memoized": vs_memoized, "size": 6},
-        "arms": {},
+        "headline": {"states_per_s": headline, "cell": "ida_h0_n6"},
+        "cells": {"ida_cosine_n7": {"states_per_s": cosine, "size": 7}},
     }
-    file = path / "BENCH_kernel_columnar.json"
+    file = path / "BENCH_kernel.json"
     file.write_text(json.dumps(payload))
     return file
 
@@ -38,9 +38,7 @@ def _write_scaling_json(path: Path, speedup: float) -> Path:
 
 class TestExtraction:
     def test_bench_name_strips_prefix(self, bench_history):
-        assert bench_history.bench_name("BENCH_kernel_columnar.json") == (
-            "kernel_columnar"
-        )
+        assert bench_history.bench_name("BENCH_kernel.json") == "kernel"
         assert bench_history.bench_name("/a/b/BENCH_parallel_scaling.json") == (
             "parallel_scaling"
         )
@@ -59,7 +57,7 @@ class TestExtraction:
 
 class TestRecordAndCheck:
     def test_record_then_check_passes(self, bench_history, tmp_path, capsys):
-        kernel = _write_kernel_json(tmp_path, vs_seed=5.5, vs_memoized=2.3)
+        kernel = _write_kernel_json(tmp_path, headline=55000, cosine=23000)
         scaling = _write_scaling_json(tmp_path, speedup=1.0)
         history = tmp_path / "history.jsonl"
         assert bench_history.main(
@@ -69,19 +67,19 @@ class TestRecordAndCheck:
             json.loads(line) for line in history.read_text().splitlines()
         ]
         assert [e["bench"] for e in entries] == [
-            "kernel_columnar", "parallel_scaling",
+            "kernel", "parallel_scaling",
         ]
-        assert entries[0]["metrics"]["headline.vs_seed"] == 5.5
+        assert entries[0]["metrics"]["headline.states_per_s"] == 55000
         assert entries[1]["metrics"]["arms.workers_2.speedup"] == 1.0
         assert bench_history.main(
             ["check", str(kernel), str(scaling), "--history", str(history)]
         ) == 0
-        assert "ok kernel_columnar" in capsys.readouterr().out
+        assert "ok kernel" in capsys.readouterr().out
 
     def test_check_with_no_history_passes_vacuously(
         self, bench_history, tmp_path
     ):
-        kernel = _write_kernel_json(tmp_path, vs_seed=5.5, vs_memoized=2.3)
+        kernel = _write_kernel_json(tmp_path, headline=55000, cosine=23000)
         history = tmp_path / "empty.jsonl"
         assert bench_history.main(
             ["check", str(kernel), "--history", str(history)]
@@ -90,26 +88,26 @@ class TestRecordAndCheck:
     def test_injected_regression_exits_nonzero(
         self, bench_history, tmp_path, capsys
     ):
-        kernel = _write_kernel_json(tmp_path, vs_seed=5.5, vs_memoized=2.3)
+        kernel = _write_kernel_json(tmp_path, headline=55000, cosine=23000)
         history = tmp_path / "history.jsonl"
         bench_history.main(["record", str(kernel), "--history", str(history)])
-        slower = _write_kernel_json(tmp_path, vs_seed=3.0, vs_memoized=2.3)
+        slower = _write_kernel_json(tmp_path, headline=30000, cosine=23000)
         assert bench_history.main(
             ["check", str(slower), "--history", str(history)]
         ) == 1
         err = capsys.readouterr().err
         assert "REGRESSION" in err
-        assert "headline.vs_seed" in err
+        assert "headline.states_per_s" in err
 
     def test_threshold_tolerates_small_dips(self, bench_history, tmp_path):
-        kernel = _write_kernel_json(tmp_path, vs_seed=5.0, vs_memoized=2.0)
+        kernel = _write_kernel_json(tmp_path, headline=50000, cosine=20000)
         history = tmp_path / "history.jsonl"
         bench_history.main(["record", str(kernel), "--history", str(history)])
-        dip = _write_kernel_json(tmp_path, vs_seed=4.5, vs_memoized=1.9)
+        dip = _write_kernel_json(tmp_path, headline=45000, cosine=19000)
         assert bench_history.main(
             ["check", str(dip), "--history", str(history)]
         ) == 0
-        cliff = _write_kernel_json(tmp_path, vs_seed=4.5, vs_memoized=1.9)
+        cliff = _write_kernel_json(tmp_path, headline=45000, cosine=19000)
         assert bench_history.main(
             ["check", str(cliff), "--history", str(history),
              "--threshold", "0.01"]
@@ -117,7 +115,7 @@ class TestRecordAndCheck:
 
     def test_missing_file_exits_two(self, bench_history, tmp_path, capsys):
         assert bench_history.main(
-            ["check", str(tmp_path / "BENCH_kernel_columnar.json"),
+            ["check", str(tmp_path / "BENCH_kernel.json"),
              "--history", str(tmp_path / "h.jsonl")]
         ) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -131,7 +129,7 @@ class TestRecordAndCheck:
         assert "no tracked metrics" in capsys.readouterr().err
 
     def test_corrupt_history_exits_two(self, bench_history, tmp_path, capsys):
-        kernel = _write_kernel_json(tmp_path, vs_seed=5.5, vs_memoized=2.3)
+        kernel = _write_kernel_json(tmp_path, headline=55000, cosine=23000)
         history = tmp_path / "history.jsonl"
         history.write_text("{broken\n")
         assert bench_history.main(
@@ -151,12 +149,16 @@ def test_write_bench_json_env_hook_appends(tmp_path, monkeypatch):
 
     history = tmp_path / "auto.jsonl"
     monkeypatch.setenv("REPRO_BENCH_HISTORY", str(history))
-    payload = {"headline": {"vs_seed": 5.0, "vs_memoized": 2.0}}
-    write_bench_json(tmp_path / "BENCH_kernel_columnar.json", payload)
+    payload = {
+        "headline": {"states_per_s": 50000.0},
+        "cells": {"ida_cosine_n7": {"states_per_s": 20000.0}},
+    }
+    write_bench_json(tmp_path / "BENCH_kernel.json", payload)
     entry = json.loads(history.read_text().splitlines()[0])
-    assert entry["bench"] == "kernel_columnar"
+    assert entry["bench"] == "kernel"
     assert entry["metrics"] == {
-        "headline.vs_seed": 5.0, "headline.vs_memoized": 2.0,
+        "headline.states_per_s": 50000.0,
+        "cells.ida_cosine_n7.states_per_s": 20000.0,
     }
     # untracked payloads write their JSON but skip the history
     write_bench_json(tmp_path / "BENCH_mystery.json", {"x": 1})

@@ -1,11 +1,12 @@
-"""The memoized kernel is semantically invisible: cache on == cache off.
+"""The transposition table is semantically invisible: cache on == cache off.
 
 Every algorithm x heuristic combination must return the identical result —
 same status, same operator sequence, same states examined *in the same
-order* — whether the transposition table and derived-view caches are on
-(the default) or fully disabled.  This is the contract that lets the
-caches exist at all: they may only change how fast the search runs, never
-what it does.
+order* — whether successor lists and goal verdicts are served from the
+problem's memo tables (the only mode the library offers) or recomputed on
+every call by :class:`ReferenceProblem`.  This is the contract that lets
+the tables exist at all: they may only change how fast the search runs,
+never what it does.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import pytest
 
 from repro.errors import MappingNotFound, SearchBudgetExceeded
 from repro.heuristics import HEURISTIC_NAMES, make_heuristic
-from repro.relational.caching import view_caching_disabled
 from repro.search import ALGORITHMS, MappingProblem, SearchConfig, SearchStats
 from repro.workloads import matching_pair
 
@@ -23,11 +23,29 @@ BLIND = ("h0", "h2")
 BUDGET = 100_000
 
 
+class ReferenceProblem(MappingProblem):
+    """Test-only reference: no transposition table, no goal-verdict table.
+
+    Every call recomputes its answer, so a search over this problem is
+    what the memoised :class:`MappingProblem` must reproduce exactly.
+    """
+
+    def successors(self, state, last_op=None, stats=None):
+        out = self._compute_successors(state, last_op)
+        if stats is not None:
+            stats.generated(len(out))
+        return out
+
+    def is_goal(self, state, stats=None):
+        return state.contains(self.target)
+
+
 def run_search(algorithm: str, heuristic: str, size: int, cache_on: bool):
     """One raw algorithm invocation, returning (status, ops, stats)."""
     pair = matching_pair(size)
-    config = SearchConfig(cache_successors=cache_on, max_states=BUDGET)
-    problem = MappingProblem(pair.source, pair.target, config=config)
+    config = SearchConfig(max_states=BUDGET)
+    problem_class = MappingProblem if cache_on else ReferenceProblem
+    problem = problem_class(pair.source, pair.target, config=config)
     h = make_heuristic(heuristic, pair.target, algorithm=algorithm)
     stats = SearchStats(budget=BUDGET, trace=True)
     h.cache_capacity = config.cache_capacity
@@ -47,10 +65,7 @@ def run_search(algorithm: str, heuristic: str, size: int, cache_on: bool):
 def test_cache_on_off_identical(algorithm, heuristic):
     size = 3 if heuristic in BLIND else 5
     status_on, ops_on, stats_on = run_search(algorithm, heuristic, size, True)
-    with view_caching_disabled():
-        status_off, ops_off, stats_off = run_search(
-            algorithm, heuristic, size, False
-        )
+    status_off, ops_off, stats_off = run_search(algorithm, heuristic, size, False)
 
     assert status_on == status_off
     on_ops = [str(op) for op in (ops_on or [])]

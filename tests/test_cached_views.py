@@ -6,11 +6,6 @@ import pytest
 
 from repro.errors import UnknownAttributeError
 from repro.relational import Database, Relation, database_string, tnf_cells
-from repro.relational.caching import (
-    set_view_caching,
-    view_caching_disabled,
-    view_caching_enabled,
-)
 from repro.relational.tnf import tnf_projections, tnf_triples
 
 
@@ -100,38 +95,3 @@ class TestDatabaseViews:
         assert db.attribute_names() is names
         assert "D" not in names
 
-
-class TestKillSwitch:
-    def test_enabled_by_default(self):
-        assert view_caching_enabled()
-
-    def test_disabled_views_recompute(self, rel):
-        with view_caching_disabled():
-            assert not view_caching_enabled()
-            first = rel.value_set()
-            second = rel.value_set()
-        assert first == second
-        assert first is not second  # nothing was stored
-        assert view_caching_enabled()
-        # back on: the store fills as usual
-        assert rel.value_set() is rel.value_set()
-
-    def test_disabled_still_serves_already_cached_views(self, rel):
-        warm = rel.column_texts("A")
-        with view_caching_disabled():
-            assert rel.column_texts("A") is warm
-
-    def test_set_view_caching_restores(self):
-        set_view_caching(False)
-        try:
-            assert not view_caching_enabled()
-        finally:
-            set_view_caching(True)
-        assert view_caching_enabled()
-
-    def test_nested_disable_restores_previous(self):
-        with view_caching_disabled():
-            with view_caching_disabled():
-                assert not view_caching_enabled()
-            assert not view_caching_enabled()
-        assert view_caching_enabled()

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.heuristics import LevenshteinHeuristic, levenshtein, round_half_up
+from repro.heuristics import stringview
 from repro.relational import Database, Relation
 
 
@@ -33,6 +40,33 @@ class TestLevenshteinDistance:
     def test_triangle_inequality_sample(self):
         a, b, c = "route", "router", "outer"
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+
+    def test_long_strings_agree_with_pure_python(self):
+        left = "route" * 20 + "ATL29"
+        right = "router" * 15 + "ORD17"
+        assert min(len(left), len(right)) >= stringview._NUMPY_THRESHOLD
+        assert levenshtein(left, right) == stringview._levenshtein_python(
+            left, right
+        )
+
+
+def test_import_repro_does_not_load_numpy():
+    """numpy is loaded on the first long Levenshtein call, not at import."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro; print('numpy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestRounding:

@@ -94,18 +94,6 @@ class TestSuccessorCache:
         assert stats.successor_cache_misses == 3
         assert len(problem._successor_cache) <= 1
 
-    def test_disabled_cache_reports_nothing(self):
-        problem = make_problem(cache_successors=False)
-        stats = SearchStats()
-        state = problem.initial_state()
-        first = problem.successors(state, None, stats)
-        second = problem.successors(state, None, stats)
-        assert first == second
-        assert stats.successor_cache_hits == 0
-        assert stats.successor_cache_misses == 0
-        assert not problem._successor_cache
-        assert stats.states_generated == 2 * len(first)
-
     def test_clear_caches(self):
         problem = make_problem()
         state = problem.initial_state()
@@ -183,8 +171,10 @@ class TestInterning:
 class TestConfig:
     def test_cache_fields_default_on(self):
         config = SearchConfig()
-        assert config.cache_successors is True
         assert config.cache_capacity is None
+        problem = make_problem()
+        problem.successors(problem.initial_state(), None)
+        assert problem._successor_cache
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,9 @@
 """Track ``BENCH_*.json`` headline metrics across runs and flag regressions.
 
 The perf benches publish machine-readable results at the repo root
-(``BENCH_kernel_columnar.json``, ``BENCH_parallel_scaling.json``).  Each
-file carries one or two *headline* numbers — the speedup ratios the repo's
-performance story rests on.  This tool keeps them honest over time:
+(``BENCH_kernel.json``, ``BENCH_parallel_scaling.json``, ...).  Each file
+carries a few tracked numbers — the throughputs and speedup ratios the
+repo's performance story rests on.  This tool keeps them honest over time:
 
 * ``record`` appends each file's tracked metrics as one JSONL line to a
   history file (default ``bench_history.jsonl``; override with
@@ -15,7 +15,7 @@ performance story rests on.  This tool keeps them honest over time:
   the history and exits ``1`` when any metric fell more than
   ``--threshold`` (default 15 %) below that best — the CI regression gate.
 
-All tracked metrics are higher-is-better ratios.  Exit codes: 0 OK,
+All tracked metrics are higher-is-better.  Exit codes: 0 OK,
 1 regression detected, 2 usage/input error.
 
 Usage::
@@ -47,7 +47,14 @@ DEFAULT_THRESHOLD = 0.15
 #: bench name (the ``<name>`` of ``BENCH_<name>.json``) -> tracked
 #: higher-is-better metrics as dotted paths into the payload
 TRACKED_METRICS: dict[str, tuple[str, ...]] = {
-    "kernel_columnar": ("headline.vs_seed", "headline.vs_memoized"),
+    "kernel": (
+        "headline.states_per_s",
+        "cells.ida_h0_n4.states_per_s",
+        "cells.ida_h0_n5.states_per_s",
+        "cells.ida_h0_n6.states_per_s",
+        "cells.ida_cosine_n7.states_per_s",
+        "cells.rbfs_euclid_n7.states_per_s",
+    ),
     "parallel_scaling": ("arms.workers_2.speedup",),
     "sql_backends": ("headline.sqlite_vs_minisql",),
     "warm_start": ("headline.warm_vs_cold", "headline.preseed_vs_cold"),
@@ -55,7 +62,7 @@ TRACKED_METRICS: dict[str, tuple[str, ...]] = {
 
 
 def bench_name(path: str | Path) -> str:
-    """``BENCH_kernel_columnar.json`` -> ``kernel_columnar``."""
+    """``BENCH_parallel_scaling.json`` -> ``parallel_scaling``."""
     stem = Path(path).stem
     return stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
 

@@ -5,13 +5,7 @@ same engine as ``repro profile`` — for running straight from a checkout::
 
     python tools/profile_kernel.py [--synthetic 5] [--algorithm ida]
         [--heuristic h0] [--budget 1000000] [--top 20]
-        [--sort cumulative|tottime] [--kernel legacy|columnar|columnar+delta]
-        [--cold]
-
-Pass ``--kernel`` to pin the hot-kernel mode for the run (the default is
-whatever the ``REPRO_COLUMNAR_KERNEL`` / ``REPRO_INCREMENTAL_HEURISTICS``
-environment switches say); compare two invocations to see where the time
-moved.
+        [--sort cumulative|tottime] [--cold]
 """
 
 from __future__ import annotations
@@ -23,7 +17,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments import profile_point  # noqa: E402
-from repro.relational import caching  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -38,16 +31,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--sort", default="cumulative", choices=["cumulative", "tottime"]
     )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=["legacy", "columnar", "columnar+delta"],
-    )
     parser.add_argument("--cold", action="store_true")
     args = parser.parse_args(argv)
-    if args.kernel is not None:
-        caching.set_columnar_kernel(args.kernel != "legacy")
-        caching.set_incremental_heuristics(args.kernel == "columnar+delta")
     profile = profile_point(
         n=args.synthetic,
         algorithm=args.algorithm,
