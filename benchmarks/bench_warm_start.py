@@ -1,18 +1,13 @@
-"""Warm-start store — memo hits and pre-seeded searches vs cold discovery.
+"""Warm-start store — memo hits vs cold discovery.
 
 Runs the paper's Fig. 5 workload (synthetic matching, IDA*/h0, n=6)
-through three arms against one ``repro.store.WarmStartStore``:
+through two arms against one ``repro.store.WarmStartStore``:
 
-* **cold** — plain discovery, no store: the baseline every claim divides
+* **cold** — plain discovery, no store: the baseline the claim divides
   by.
 * **warm hit** — the same pair served from the mapping memo, re-verified
   against the live instances.  The headline bar is ≥ 20x over cold, and
   the served expression must be bit-identical to the cold search's.
-* **pre-seeded** — the memo is deleted so the engine must *search*, but
-  the transposition/goal/heuristic spill is kept: the search runs warm.
-  Asserted measurably faster than cold with bit-identical expression
-  *and* an identical states-examined count (pre-seeding restores cached
-  derivations, not different ones).
 
 Results land in ``BENCH_warm_start.json`` at the repo root and flow
 through ``tools/bench_history.py`` when ``REPRO_BENCH_HISTORY`` is set.
@@ -55,10 +50,9 @@ HEURISTIC = "h0"
 BUDGET = 400_000
 JSON_NAME = "BENCH_warm_start.json"
 
-#: asserted bars: memo hit ≥ 20x cold; pre-seeded search faster than cold
+#: asserted bar: memo hit ≥ 20x cold
 TARGET_WARM_VS_COLD = 20.0
-TARGET_PRESEED_VS_COLD = 1.05
-#: re-measure attempts before declaring a bar unmet (minima only improve)
+#: re-measure attempts before declaring the bar unmet (minima only improve)
 MAX_ATTEMPTS = 3
 
 
@@ -93,7 +87,7 @@ def _timed(fn, rounds: int) -> tuple[float, object]:
 
 
 def measure_arms(n: int, store_dir: Path, rounds: int = 3) -> dict:
-    """One measurement of all three arms on the size-*n* pair."""
+    """One measurement of both arms on the size-*n* pair."""
     pair = matching_pair(n)
     source, target = pair.source, pair.target
 
@@ -101,7 +95,7 @@ def measure_arms(n: int, store_dir: Path, rounds: int = 3) -> dict:
     cold_secs, cold = _timed(lambda: _discover(source, target), rounds)
     assert cold.found, f"cold search failed at n={n}: {cold.status}"
 
-    # populate the store once (records the memo, spills the tables)
+    # populate the store once (records the memo)
     if store_dir.exists():
         shutil.rmtree(store_dir)
     store = WarmStartStore(store_dir)
@@ -120,36 +114,13 @@ def measure_arms(n: int, store_dir: Path, rounds: int = 3) -> dict:
     )
     assert warm.states_examined == 0
 
-    # pre-seeded: no memo to serve from, but the spill warms the search
-    memo_path = store_dir / "memo.jsonl"
-
-    def preseed_run():
-        if memo_path.exists():
-            memo_path.unlink()
-        result = _discover(source, target, store=WarmStartStore(store_dir))
-        assert not result.served_from_store, "memo should be gone"
-        return result
-
-    preseed_secs, preseed = _timed(preseed_run, rounds)
-    assert str(preseed.expression) == str(cold.expression), (
-        "pre-seeded search found a different mapping"
-    )
-    assert preseed.states_examined == cold.states_examined, (
-        f"pre-seeding changed the trajectory: "
-        f"{preseed.states_examined} != {cold.states_examined} states"
-    )
-
     return {
         "n": n,
         "states": cold.states_examined,
         "expression_ops": len(cold.expression.operators),
         "cold_secs": cold_secs,
         "warm_secs": warm_secs,
-        "preseed_secs": preseed_secs,
         "warm_vs_cold": cold_secs / warm_secs if warm_secs else float("inf"),
-        "preseed_vs_cold": (
-            cold_secs / preseed_secs if preseed_secs else float("inf")
-        ),
     }
 
 
@@ -159,22 +130,14 @@ def measure_headline(rounds: int = 3) -> dict:
         store_dir = Path(tmp) / "store"
         row = measure_arms(HEADLINE_N, store_dir, rounds=rounds)
         for _ in range(MAX_ATTEMPTS - 1):
-            if (
-                row["warm_vs_cold"] >= TARGET_WARM_VS_COLD
-                and row["preseed_vs_cold"] >= TARGET_PRESEED_VS_COLD
-            ):
+            if row["warm_vs_cold"] >= TARGET_WARM_VS_COLD:
                 break
             retry = measure_arms(HEADLINE_N, store_dir, rounds=rounds)
-            for key in ("cold_secs", "warm_secs", "preseed_secs"):
+            for key in ("cold_secs", "warm_secs"):
                 row[key] = min(row[key], retry[key])
             row["warm_vs_cold"] = (
                 row["cold_secs"] / row["warm_secs"]
                 if row["warm_secs"]
-                else float("inf")
-            )
-            row["preseed_vs_cold"] = (
-                row["cold_secs"] / row["preseed_secs"]
-                if row["preseed_secs"]
                 else float("inf")
             )
     return {
@@ -189,26 +152,16 @@ def measure_headline(rounds: int = 3) -> dict:
         "arms": {
             "cold": {"secs": row["cold_secs"], "states": row["states"]},
             "warm_hit": {"secs": row["warm_secs"], "states": 0},
-            "preseeded": {"secs": row["preseed_secs"], "states": row["states"]},
         },
-        "headline": {
-            "warm_vs_cold": row["warm_vs_cold"],
-            "preseed_vs_cold": row["preseed_vs_cold"],
-        },
-        "targets": {
-            "warm_vs_cold": TARGET_WARM_VS_COLD,
-            "preseed_vs_cold": TARGET_PRESEED_VS_COLD,
-        },
+        "headline": {"warm_vs_cold": row["warm_vs_cold"]},
+        "targets": {"warm_vs_cold": TARGET_WARM_VS_COLD},
         "bit_identical": True,
-        "speedup_asserted": (
-            row["warm_vs_cold"] >= TARGET_WARM_VS_COLD
-            and row["preseed_vs_cold"] >= TARGET_PRESEED_VS_COLD
-        ),
+        "speedup_asserted": row["warm_vs_cold"] >= TARGET_WARM_VS_COLD,
     }
 
 
 def arms_table(payload: dict) -> str:
-    """Render the three arms as an ASCII table."""
+    """Render the arms as an ASCII table."""
     arms = payload["arms"]
     head = payload["headline"]
     rows = [
@@ -218,12 +171,6 @@ def arms_table(payload: dict) -> str:
             arms["warm_hit"]["secs"],
             arms["warm_hit"]["states"],
             f"{head['warm_vs_cold']:.1f}x",
-        ),
-        (
-            "pre-seeded",
-            arms["preseeded"]["secs"],
-            arms["preseeded"]["states"],
-            f"{head['preseed_vs_cold']:.2f}x",
         ),
     ]
     lines = [
@@ -246,23 +193,16 @@ def test_warm_start_speedup(benchmark):
     )
     head = payload["headline"]
     benchmark.extra_info["warm_vs_cold"] = head["warm_vs_cold"]
-    benchmark.extra_info["preseed_vs_cold"] = head["preseed_vs_cold"]
     record_section(
-        "Warm-start store — memo hits and pre-seeded searches (Fig. 5 n=6)",
+        "Warm-start store — memo hits (Fig. 5 n=6)",
         arms_table(payload)
         + f"\n\nheadline: {head['warm_vs_cold']:.1f}x memo hit "
-        f"(target {TARGET_WARM_VS_COLD:.0f}x), "
-        f"{head['preseed_vs_cold']:.2f}x pre-seeded "
-        f"(target {TARGET_PRESEED_VS_COLD:.2f}x)",
+        f"(target {TARGET_WARM_VS_COLD:.0f}x)",
     )
     write_bench_json(Path(__file__).resolve().parent.parent / JSON_NAME, payload)
     assert head["warm_vs_cold"] >= TARGET_WARM_VS_COLD, (
         f"memo hit only {head['warm_vs_cold']:.1f}x over cold "
         f"(target {TARGET_WARM_VS_COLD}x)"
-    )
-    assert head["preseed_vs_cold"] >= TARGET_PRESEED_VS_COLD, (
-        f"pre-seeded search only {head['preseed_vs_cold']:.2f}x over cold "
-        f"(target {TARGET_PRESEED_VS_COLD}x)"
     )
 
 
@@ -281,7 +221,7 @@ def test_warm_start_bit_identity(benchmark):
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Measure warm-start store speedups vs cold discovery."
+        description="Measure the warm-start memo-hit speedup vs cold discovery."
     )
     parser.add_argument(
         "--quick",
@@ -307,22 +247,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(
             f"quick n={QUICK_N}: cold {row['cold_secs']:.4f}s, "
             f"warm hit {row['warm_secs']:.4f}s "
-            f"({row['warm_vs_cold']:.1f}x), "
-            f"pre-seeded {row['preseed_secs']:.4f}s "
-            f"({row['preseed_vs_cold']:.2f}x); bit-identity held"
+            f"({row['warm_vs_cold']:.1f}x); bit-identity held"
         )
         return 0
 
     payload = measure_headline(rounds=rounds)
     print(arms_table(payload))
     print()
-    print("bit-identity: served and pre-seeded mappings matched cold search")
+    print("bit-identity: the served mapping matched the cold search's")
     head = payload["headline"]
     print(
         f"headline: {head['warm_vs_cold']:.1f}x memo hit "
-        f"(target {TARGET_WARM_VS_COLD:.0f}x), "
-        f"{head['preseed_vs_cold']:.2f}x pre-seeded "
-        f"(target {TARGET_PRESEED_VS_COLD:.2f}x)"
+        f"(target {TARGET_WARM_VS_COLD:.0f}x)"
     )
     if not args.no_json:
         path = write_bench_json(

@@ -42,14 +42,15 @@ Commands::
 
     python -m repro info
 
-Exit codes: 0 success, 1 no mapping found, 2 usage / input error,
-3 wall-clock deadline exceeded (``--deadline``; partial statistics were
-still reported).
+Exit codes: 0 success, 1 no mapping found (or stdout's reader closed
+early), 2 usage / input error, 3 wall-clock deadline exceeded
+(``--deadline``; partial statistics were still reported).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -177,9 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="warm-start store directory: serve memoised mappings "
-        "(re-verified against this pair), pre-seed search caches from "
-        "prior runs, and record this run's results for the next one "
-        "(disable globally with REPRO_WARM_STORE=0)",
+        "(re-verified against this pair) and record this run's mapping "
+        "for the next one",
     )
 
     experiments = sub.add_parser(
@@ -392,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument(
         "action",
         choices=["info", "gc"],
-        help="info: summarise the memo and spills; gc: compact the memo "
-        "and drop the oldest spills over the bound",
+        help="info: summarise the memo; gc: compact the memo",
     )
     store.add_argument(
         "--path", required=True, metavar="DIR", help="store directory"
@@ -856,17 +855,12 @@ def cmd_store(args: argparse.Namespace) -> int:
     if args.action == "info":
         info = store.info()
         memo = info["memo"]
-        print(f"store: {info['path']}  (enabled: {info['enabled']})")
+        print(f"store: {info['path']}")
         print(
             f"memo: {memo['entries']} entr(ies) across {memo['fingerprints']} "
             f"pair(s), {memo['bytes']} byte(s), version {memo['version']}"
             + (f", {memo['corrupt_lines']} corrupt line(s) skipped"
                if memo["corrupt_lines"] else "")
-        )
-        print(
-            f"spills: {info['spills']} file(s), {info['spill_bytes']} byte(s) "
-            f"(bounds: {info['max_spills']} spills, "
-            f"{info['max_spill_states']} states each)"
         )
         return 0
     if args.max_entries is not None and args.max_entries < 1:
@@ -879,10 +873,6 @@ def cmd_store(args: argparse.Namespace) -> int:
     print(
         f"memo: kept {memo['kept']} entr(ies), dropped {memo['dropped']} "
         f"({memo['bytes_before']} -> {memo['bytes_after']} bytes)"
-    )
-    print(
-        f"spills: kept {summary['spills_kept']}, "
-        f"dropped {summary['spills_dropped']}"
     )
     return 0
 
@@ -923,12 +913,7 @@ def cmd_info(_args: argparse.Namespace) -> int:
         f"start methods: {methods} (* = preferred)"
     )
     from .search.config import SearchConfig
-    from .store import (
-        DEFAULT_MAX_ENTRIES,
-        DEFAULT_MAX_SPILL_STATES,
-        DEFAULT_MAX_SPILLS,
-        warm_store_enabled,
-    )
+    from .store import DEFAULT_MAX_ENTRIES
 
     print(
         "caches: transposition + goal + heuristic LRU "
@@ -936,9 +921,8 @@ def cmd_info(_args: argparse.Namespace) -> int:
         "per-cache hit/miss/eviction counters in experiment reports)"
     )
     print(
-        f"store: warm-start {'enabled' if warm_store_enabled() else 'DISABLED'} "
-        f"(REPRO_WARM_STORE; defaults: {DEFAULT_MAX_ENTRIES} memo pairs, "
-        f"{DEFAULT_MAX_SPILLS} spills x {DEFAULT_MAX_SPILL_STATES} states)"
+        f"store: warm-start mapping memo (default bound {DEFAULT_MAX_ENTRIES} "
+        "pairs; every served mapping is re-verified)"
     )
     return 0
 
@@ -960,10 +944,19 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except TupeloError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout closed early (``repro info | head -2``).
+        # Point stdout at devnull so the interpreter's exit-time flush does
+        # not fail again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

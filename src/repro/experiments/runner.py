@@ -185,7 +185,7 @@ def run_matching_series(
     (and, under *stop_after_cutoff*, ends the series like a budget cut).
     *store* points every measured point — serial or sharded — at one
     shared :class:`~repro.store.WarmStartStore` path, so repeated sweeps
-    serve memoised mappings and workers warm each other's searches.
+    serve memoised mappings instead of searching again.
     """
     label = f"{algorithm}/{heuristic}"
     if workers >= 1:

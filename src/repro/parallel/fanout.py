@@ -99,8 +99,9 @@ class PointSpec:
         trace_path: JSONL trace destination ("" = untraced); fan-out
             rewrites it with the worker marker before dispatch.
         store_path: warm-start store directory ("" = no store); workers
-            share the path, so each chunk pre-seeds from and spills to
-            the same :class:`~repro.store.WarmStartStore` files.
+            share the path, so every point is served from and recorded in
+            the same :class:`~repro.store.WarmStartStore` memo.  A point
+            reads the memo only before its search starts.
         collect_metrics: record this point into the chunk's local
             :class:`~repro.obs.metrics.MetricsRegistry` for merging.
         deadline_seconds: per-point wall-clock deadline (0.0 = unbounded);

@@ -188,9 +188,9 @@ def _run_arm(
     """Run one arm to completion and summarise it as a picklable dict.
 
     *store* (a path, shipped as a string so it pickles) points every arm
-    at one shared :class:`~repro.store.WarmStartStore`: the first arm to
-    spill its memo tables warms the others mid-race, and the winner's
-    mapping lands in the memo for the next request.
+    at one shared :class:`~repro.store.WarmStartStore`.  Each arm consults
+    the memo once, before its search starts; arms do not warm each other
+    mid-race.  A found mapping lands in the memo for the next request.
     """
     registry = resolve_registry(registry_provider)
     tracer = Tracer(JsonlSink(trace_path)) if trace_path else None
@@ -387,8 +387,9 @@ def discover_mapping_portfolio(
         terminate_grace: seconds a terminated child gets to exit before
             escalation to ``kill()``.
         store: optional warm-start store path shared by every arm (see
-            :mod:`repro.store`): arms pre-seed from and spill to the same
-            files, so the race warms itself and subsequent requests.
+            :mod:`repro.store`): each arm is served from the memo when it
+            holds a verified mapping for the pair, and found mappings are
+            recorded there for subsequent requests.
 
     Returns:
         A :class:`PortfolioResult`; ``result.result.expression`` is the

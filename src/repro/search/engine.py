@@ -141,14 +141,12 @@ def discover_mapping(
             (piggybacked on the existing limit polls); its ``finish()``
             hook fires once when the run ends, whatever the status.
         store: optional warm-start store — a
-            :class:`~repro.store.WarmStartStore` or a directory path.
-            Before searching, the store's mapping memo is consulted (a hit
-            is re-verified against *source*/*target* and returned with
-            ``served_from_store=True``); on a miss the problem's memo
-            tables are pre-seeded from the store's shared spill, and after
-            the run the discovered mapping and the tables are persisted
-            for the next process.  All store traffic is best-effort and
-            disabled entirely by ``REPRO_WARM_STORE=0``.
+            :class:`~repro.store.WarmStartStore` or a directory path;
+            ``None`` is the cold path.  Before searching, the store's
+            mapping memo is consulted (a hit is re-verified against
+            *source*/*target* and returned with ``served_from_store=True``);
+            on a miss the search runs cold and a found mapping is recorded
+            for the next request.  All store traffic is best-effort.
 
     Returns:
         A :class:`SearchResult`; check ``result.found`` / ``result.status``.
@@ -211,11 +209,6 @@ def discover_mapping(
                 stats.progress = progress_sink
             h.cache_capacity = problem.config.cache_capacity
             h.bind_stats(stats)
-            if store_obj is not None:
-                with run_tracer.span("store_preseed"):
-                    store_obj.preseed(
-                        problem, h, metrics=metrics, tracer=run_tracer
-                    )
         if run_tracer.enabled:
             run_tracer.emit(
                 SEARCH_START,
@@ -262,27 +255,23 @@ def discover_mapping(
         except SearchCancelled:
             status, expression = STATUS_CANCELLED, None
         stats.stop_clock()
-        if store_obj is not None:
-            with run_tracer.span("store_save"):
-                if status == STATUS_FOUND and expression is not None:
-                    from ..store import config_signature
+        if store_obj is not None and expression is not None:
+            from ..store import config_signature
 
-                    store_obj.record(
-                        source,
-                        target,
-                        expression=expression,
-                        algorithm=algorithm,
-                        heuristic=heuristic,
-                        k=k,
-                        signature=config_signature(
-                            problem.config, problem.correspondences
-                        ),
-                        states_examined=stats.states_examined,
-                        metrics=metrics,
-                        tracer=run_tracer,
-                    )
-                store_obj.export(
-                    problem, h, metrics=metrics, tracer=run_tracer
+            with run_tracer.span("store_save"):
+                store_obj.record(
+                    source,
+                    target,
+                    expression=expression,
+                    algorithm=algorithm,
+                    heuristic=heuristic,
+                    k=k,
+                    signature=config_signature(
+                        problem.config, problem.correspondences
+                    ),
+                    states_examined=stats.states_examined,
+                    metrics=metrics,
+                    tracer=run_tracer,
                 )
         if progress_sink is not None:
             progress_sink.finish()

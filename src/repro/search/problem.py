@@ -67,7 +67,6 @@ from ..relational.relation import (
     Relation,
     _interned_name_set,
 )
-from ..relational.types import NULL, is_null
 from ..semantics.correspondence import Correspondence
 from ..semantics.functions import FunctionRegistry, builtin_registry
 from .cancel import CancelToken
@@ -236,174 +235,6 @@ class MappingProblem:
         self._goal_cache.clear()
         self._interned.clear()
         self._relation_move_cache.clear()
-
-    # -- warm-start spills (repro.store) ---------------------------------------
-
-    def export_warm_tables(
-        self, heuristic=None, max_states: int | None = None
-    ) -> dict:
-        """The memo tables as a JSON-ready warm-start spill.
-
-        Returns ``{"relations", "states", "goals", "successors",
-        "heuristics"}`` where states are lists of indices into a
-        deduplicated relation table (successive search states share almost
-        all relations, so relations are the compact unit) and relations are
-        ``[name, attributes, rows]`` *value* lists — intern-pool token ids
-        are process-local and never leave the process.  Operators ship as
-        their textual form (round-tripped through the FIRA parser on
-        pre-seed).  *max_states* bounds the number of exported states,
-        preferring the most recently used cache entries; entries touching
-        states over the cap are dropped whole.  *heuristic*'s estimate memo
-        rides along when given (see :meth:`~repro.heuristics.base.Heuristic
-        .export_memo`).  :mod:`repro.store.warm` wraps the result with the
-        problem signature and file format.
-        """
-        relations: list[list] = []
-        rel_index: dict[Relation, int] = {}
-        states: list[list[int]] = []
-        state_index: dict[Database, int] = {}
-
-        def index_of(state: Database) -> int | None:
-            idx = state_index.get(state)
-            if idx is not None:
-                return idx
-            if max_states is not None and len(states) >= max_states:
-                return None
-            refs: list[int] = []
-            for rel in state:
-                ridx = rel_index.get(rel)
-                if ridx is None:
-                    ridx = rel_index[rel] = len(relations)
-                    relations.append(_encode_relation(rel))
-                refs.append(ridx)
-            idx = state_index[state] = len(states)
-            states.append(refs)
-            return idx
-
-        # Newest-first so a cap keeps the hottest entries, then restore the
-        # original LRU order so pre-seeding reproduces it.
-        successors: list[list] = []
-        for (state, symkey), succ in reversed(self._successor_cache.items()):
-            sidx = index_of(state)
-            if sidx is None:
-                continue
-            moves: list[list] = []
-            for op, child in succ:
-                cidx = index_of(child)
-                if cidx is None:
-                    moves = None  # type: ignore[assignment]
-                    break
-                moves.append([str(op), cidx])
-            if moves is not None:
-                successors.append(
-                    [sidx, list(symkey) if symkey is not None else None, moves]
-                )
-        successors.reverse()
-
-        goals: list[list] = []
-        for state, verdict in reversed(self._goal_cache.items()):
-            sidx = index_of(state)
-            if sidx is not None:
-                goals.append([sidx, verdict])
-        goals.reverse()
-
-        heuristics: list[dict] = []
-        if heuristic is not None:
-            entries: list[list] = []
-            for state, value in reversed(heuristic.export_memo()):
-                sidx = index_of(state)
-                if sidx is not None:
-                    entries.append([sidx, value])
-            entries.reverse()
-            if entries:
-                k = getattr(heuristic, "k", None)
-                heuristics.append(
-                    {"name": heuristic.name, "k": k, "entries": entries}
-                )
-
-        return {
-            "relations": relations,
-            "states": states,
-            "goals": goals,
-            "successors": successors,
-            "heuristics": heuristics,
-        }
-
-    def warm_table_sizes(self, heuristic=None) -> tuple[int, int, int]:
-        """Current ``(successor, goal, heuristic-estimate)`` table sizes.
-
-        A cheap change detector for the spill exporter: when the sizes
-        still match the post-preseed snapshot and no capacity bound is
-        evicting, the search ran entirely inside the pre-seeded tables, so
-        re-spilling would merge megabytes of identical data (see
-        :meth:`~repro.store.store.WarmStartStore.export`).
-        """
-        return (
-            len(self._successor_cache),
-            len(self._goal_cache),
-            0 if heuristic is None else heuristic.memo_size(),
-        )
-
-    def preseed_warm_tables(self, tables: dict, heuristic=None) -> int:
-        """Pre-seed the memo tables from an exported spill; entries loaded.
-
-        The inverse of :meth:`export_warm_tables`: states are rebuilt from
-        value lists (re-interning every cell into this process's pool),
-        canonicalised through the state intern table, and inserted into the
-        goal/transposition tables in the exported order, so a capacity
-        bound evicts the same cold entries it would have.  Estimates are
-        loaded into *heuristic* only when the spill entry matches its
-        ``(name, k)`` signature — a spill from an h1 run must not seed an h2
-        search.  Malformed input raises (``ValueError`` or a parse error);
-        callers treating spills as disposable caches should catch, call
-        :meth:`clear_caches`, and fall back to a cold start (see
-        :mod:`repro.store.warm`).
-        """
-        relations = [_decode_relation(data) for data in tables["relations"]]
-        states = [
-            self._intern(_decode_state(refs, relations))
-            for refs in tables["states"]
-        ]
-        loaded = 0
-        capacity = self.config.cache_capacity
-
-        goal_cache = self._goal_cache
-        for sidx, verdict in tables["goals"]:
-            goal_cache[states[sidx]] = bool(verdict)
-            loaded += 1
-        if capacity is not None:
-            while len(goal_cache) > capacity:
-                goal_cache.popitem(last=False)
-
-        succ_cache = self._successor_cache
-        for sidx, symkey, moves in tables["successors"]:
-            key = (
-                states[sidx],
-                tuple(symkey) if symkey is not None else None,
-            )
-            succ_cache[key] = [
-                (_operator_from_text(text), states[cidx])
-                for text, cidx in moves
-            ]
-            loaded += 1
-        if capacity is not None:
-            while len(succ_cache) > capacity:
-                succ_cache.popitem(last=False)
-
-        if heuristic is not None:
-            want_k = getattr(heuristic, "k", None)
-            for entry in tables.get("heuristics", ()):
-                if entry.get("name") != heuristic.name:
-                    continue
-                k = entry.get("k")
-                if (k is None) != (want_k is None):
-                    continue
-                if k is not None and float(k) != float(want_k):
-                    continue
-                loaded += heuristic.preseed_memo(
-                    (states[sidx], value) for sidx, value in entry["entries"]
-                )
-        return loaded
 
     def _relation_view(self, key: tuple, rel: Relation, build) -> object:
         """Memoise a per-relation proposal view (LRU, capacity-bound).
@@ -948,71 +779,3 @@ class MappingProblem:
             if left_only and right_only:
                 return True
         return False
-
-
-# -- warm-spill state codec --------------------------------------------------
-#
-# Spills cross process boundaries, so states are encoded as plain values
-# (JSON lists; NULL <-> None) and re-interned on decode.  Decoding trusts
-# nothing: a spill is a disposable cache file, so every structural invariant
-# the fast constructors assume is re-checked and violations raise ValueError
-# for the loader to treat as corruption.
-
-
-def _encode_relation(rel: Relation) -> list:
-    """``[name, attributes, rows]`` with cells as values (NULL -> None)."""
-    return [
-        rel.name,
-        list(rel.attributes),
-        [
-            [None if is_null(cell) else cell for cell in row]
-            for row in rel.sorted_rows_view()
-        ],
-    ]
-
-
-def _decode_relation(data: Sequence) -> Relation:
-    name, attrs, rows = data
-    if not isinstance(name, str) or not all(
-        isinstance(a, str) for a in attrs
-    ):
-        raise ValueError("warm spill: relation names must be strings")
-    attributes = tuple(attrs)
-    if list(attributes) != sorted(set(attributes)):
-        raise ValueError("warm spill: attributes not canonical")
-    arity = len(attributes)
-    token_rows = set()
-    for row in rows:
-        if len(row) != arity:
-            raise ValueError("warm spill: row arity mismatch")
-        token_rows.add(
-            tuple(
-                intern_value(NULL if cell is None else cell) for cell in row
-            )
-        )
-    return Relation._from_token_rows(name, attributes, frozenset(token_rows))
-
-
-def _decode_state(refs: Sequence[int], relations: Sequence[Relation]) -> Database:
-    rels = tuple(relations[i] for i in refs)
-    names = [rel.name for rel in rels]
-    if names != sorted(set(names)):
-        raise ValueError("warm spill: state relations not canonical")
-    return Database._from_sorted(rels)
-
-
-@lru_cache(maxsize=FLYWEIGHT_CACHE_SIZE)
-def _operator_from_text(text: str) -> Operator:
-    """One operator parsed from its textual form, memoised (bounded LRU).
-
-    A spill's operators are drawn from one problem's schema names, so the
-    same texts recur across the spills a store serves; like the flyweight
-    constructors above, the cache is bounded because the names of every
-    schema the process has served accumulate in it.
-    """
-    from ..fira.parser import parse_expression
-
-    operators = parse_expression(text).operators
-    if len(operators) != 1:
-        raise ValueError(f"warm spill: expected one operator, got {text!r}")
-    return operators[0]

@@ -4,9 +4,9 @@ The JSONL trace sink serializes one record per traced event — millions per
 long run — and the experiment/bench archives re-render whole sweeps; both
 are pure-overhead sites where serializer speed directly widens the traced
 vs untraced gap.  When :mod:`orjson` is importable it does the rendering;
-otherwise (or under ``REPRO_FAST_JSON=0``) the stdlib :mod:`json` module
-does.  **The bytes are identical either way**, so archives and traces
-diff clean across environments:
+otherwise the stdlib :mod:`json` module does.  **The bytes are
+identical either way**, so archives and traces diff clean across
+environments:
 
 * both arms render compact form with sorted keys, ``(",", ":")``
   separators and raw (non-ascii-escaped) UTF-8, and indented form with
@@ -30,15 +30,11 @@ from __future__ import annotations
 
 import json as _json
 import math
-import os
 from typing import Any
 
 try:  # pragma: no cover - exercised indirectly via FAST_JSON_BACKEND
     import orjson as _orjson
 except ImportError:  # pragma: no cover - orjson is a soft dependency
-    _orjson = None
-
-if os.environ.get("REPRO_FAST_JSON", "").strip().lower() in ("0", "false", "no"):
     _orjson = None
 
 #: which renderer is active ("orjson" or "json") — surfaced by ``repro info``

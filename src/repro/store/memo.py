@@ -22,6 +22,7 @@ never raises into a discovery.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -32,6 +33,8 @@ from ..fira.parser import parse_expression
 from ..relational.database import Database
 from ..relational.fingerprint import pair_fingerprint, pair_shape_fingerprint
 from ..resilience.runtime import resilience_warning, retry_call
+from ..search.config import SearchConfig
+from ..semantics.correspondence import encode_correspondence
 from ..semantics.functions import FunctionRegistry, builtin_registry
 from ..serialize import json_dumps_compact, json_loads
 
@@ -45,6 +48,27 @@ DEFAULT_MAX_ENTRIES = 1024
 #: per fingerprint, how many request variants (algorithm/heuristic/k) are
 #: kept by compaction — newest first
 _VARIANTS_PER_KEY = 4
+
+
+def config_signature(config: SearchConfig, correspondences=()) -> str:
+    """Hash of the config knobs that change what a discovered mapping means.
+
+    Recorded with every memo entry as provenance.  Budget, deadline and
+    cache-capacity knobs are left out: they bound how much search runs,
+    not which mappings are answers.
+    """
+    payload = {
+        "enabled_operators": sorted(config.enabled_operators),
+        "break_symmetry": config.break_symmetry,
+        "prune_targets": config.prune_targets,
+        "max_depth": config.max_depth,
+        "correspondences": sorted(
+            encode_correspondence(corr) for corr in correspondences
+        ),
+    }
+    return hashlib.sha256(
+        ("tupelo-cfg-v1" + json_dumps_compact(payload)).encode("utf-8")
+    ).hexdigest()
 
 
 def _request_key(entry: Mapping) -> tuple:
@@ -247,16 +271,15 @@ class MappingMemo:
         algorithm: str | None = None,
         heuristic: str | None = None,
         k: float | None = None,
-        exact_only: bool = False,
     ) -> tuple[MappingExpression, dict] | None:
         """A stored mapping *verified against this very pair*, or ``None``.
 
         Entries recorded under the requested ``(algorithm, heuristic, k)``
         are preferred (and, when served, reproduce the cold search's result
         bit for bit — the memo stored exactly what that search found);
-        with ``exact_only=False`` any other verified entry for the
-        fingerprint is an acceptable fallback, since verification — not
-        provenance — is what makes an answer correct.  Each candidate is
+        any other verified entry for the fingerprint is an acceptable
+        fallback, since verification — not provenance — is what makes an
+        answer correct.  Each candidate is
         parsed and applied; any failure (stale operator vocabulary, a
         fingerprint collision, hand-edited entries) degrades to the next
         candidate and ultimately to ``None``, never to an exception.
@@ -265,12 +288,6 @@ class MappingMemo:
         fp = pair_fingerprint(source, target)
         reg = registry if registry is not None else builtin_registry()
         for entry in self._candidates(fp, algorithm, heuristic, k):
-            if exact_only and _request_key(entry) != (
-                algorithm,
-                heuristic,
-                k if k is None else float(k),
-            ):
-                continue
             try:
                 expression = parse_expression(entry["expression"])
                 verified = expression.apply(source, reg).contains(target)

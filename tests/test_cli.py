@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.relational import load_database_dir, save_database
 from repro.workloads import flights_a, flights_b, flights_c
@@ -292,6 +298,20 @@ class TestOtherCommands:
         assert "telemetry: structured tracing (schema v1)" in out
         assert "sinks: null, memory, jsonl, logging" in out
         assert "expand" in out and "search_end" in out
+
+    def test_closed_stdout_reader_exits_without_traceback(self):
+        """``repro info | head -2``: a reader that closes early is quiet."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "info"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        proc.stdout.close()  # before the child has written anything
+        _, err = proc.communicate(timeout=120)
+        assert b"Traceback" not in err
+        assert b"BrokenPipeError" not in err
 
     def test_error_reported_cleanly(self, dirs, capsys, tmp_path):
         source, _target, tmp = dirs

@@ -49,13 +49,18 @@ class TestSerializationByteIdentity:
     @settings(max_examples=60, deadline=None)
     def test_backend_fallback_is_byte_identical(self, payload):
         fast = serialize.json_dumps_compact(payload)
+        fast_indented = serialize.json_dumps_indent2(payload)
         original = serialize._orjson
         serialize._orjson = None
         try:
             slow = serialize.json_dumps_compact(payload)
+            slow_indented = serialize.json_dumps_indent2(payload)
+            parsed = serialize.json_loads(fast)
         finally:
             serialize._orjson = original
         assert fast == slow
+        assert fast_indented == slow_indented
+        assert parsed == payload
 
     def test_divergent_floats_route_to_stdlib(self):
         payload = {"tiny": 1e-7, "huge": 1e17, "plain": 0.5}

@@ -1,10 +1,10 @@
-"""Warm-start store suite: fingerprints, memo, spills, and failure modes.
+"""Warm-start store suite: fingerprints, the mapping memo, failure modes.
 
 The store's contract is *warmth is optional, correctness is not*: every
 test that damages a store file (corruption, truncation, version skew,
-forged entries, torn spills) asserts the search degrades to a cold run
-with a ``resilience.store_*`` counter — never an exception, never an
-unverified answer.
+forged entries) asserts the search degrades to a cold run with a
+``resilience.store_*`` counter — never an exception, never an unverified
+answer.  The memo (``memo.jsonl``) is the store's only artifact.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import threading
 
-from repro import Database, Relation, discover_mapping
+from repro import Database, Relation, SearchConfig, discover_mapping
 from repro.fira import parse_expression
 from repro.relational.fingerprint import (
     instance_digest,
@@ -23,17 +23,9 @@ from repro.relational.fingerprint import (
     shape_digest,
 )
 from repro.resilience.runtime import resilience_counters, resilience_delta
-from repro.search.problem import MappingProblem
+from repro.search.result import STATUS_BUDGET_EXCEEDED
 from repro.semantics import builtin_registry
-from repro.store import (
-    MappingMemo,
-    WarmStartStore,
-    problem_signature,
-    read_spill,
-    resolve_store,
-    warm_store_disabled,
-    write_spill,
-)
+from repro.store import MappingMemo, WarmStartStore
 from repro.workloads.synthetic import matching_pair
 
 
@@ -299,84 +291,6 @@ def test_concurrent_reader_and_writer_on_one_path(tmp_path):
     assert served is not None and str(served[0]) == str(expression)
 
 
-# -- warm spills -------------------------------------------------------------
-
-
-def _problem(source, target):
-    return MappingProblem(source, target)
-
-
-def test_spill_round_trip_preseed_matches_cold(tmp_path):
-    source, target = _pair(3)
-    store = WarmStartStore(tmp_path / "store")
-    cold = _discover(source, target, store=store)
-    assert cold.found and not cold.served_from_store
-    # drop the memo so the next run must *search*, warmed by the spill only
-    store.memo.path.unlink()
-    warm = _discover(source, target, store=WarmStartStore(tmp_path / "store"))
-    assert warm.found and not warm.served_from_store
-    assert str(warm.expression) == str(cold.expression)
-    assert warm.states_examined == cold.states_examined
-    assert warm.stats.cache_hits >= cold.stats.cache_hits
-
-
-def test_unchanged_spill_is_not_rewritten(tmp_path):
-    # a search that runs entirely inside the pre-seeded tables must not
-    # re-encode and rewrite an identical spill (store.spill_skips)
-    from repro.obs.metrics import MetricsRegistry
-
-    source, target = _pair(3)
-    store = WarmStartStore(tmp_path / "store")
-    _discover(source, target, store=store)
-    store.memo.path.unlink()
-    [spill] = list((store.path / "warm").glob("*.json"))
-    before = (spill.stat().st_mtime_ns, spill.stat().st_size)
-
-    metrics = MetricsRegistry()
-    again = _discover(
-        source,
-        target,
-        store=WarmStartStore(tmp_path / "store"),
-        metrics=metrics,
-    )
-    assert again.found and not again.served_from_store
-    assert (spill.stat().st_mtime_ns, spill.stat().st_size) == before
-    assert metrics.counter("store.spill_skips").value == 1
-    assert metrics.counter("store.spill_writes").value == 0
-
-
-def test_torn_spill_degrades_cold(tmp_path):
-    source, target = _pair(2)
-    store = WarmStartStore(tmp_path / "store")
-    cold = _discover(source, target, store=store)
-    store.memo.path.unlink()
-    # truncate every spill file mid-payload
-    spills = list((store.path / "warm").glob("*.json"))
-    assert spills
-    for spill in spills:
-        spill.write_bytes(spill.read_bytes()[: 40])
-    baseline = resilience_counters()
-    again = _discover(source, target, store=WarmStartStore(tmp_path / "store"))
-    assert again.found
-    assert str(again.expression) == str(cold.expression)
-    delta = resilience_delta(baseline)
-    assert delta.get("resilience.store_torn_spill", 0) >= 1
-
-
-def test_spill_rejects_signature_mismatch(tmp_path):
-    source, target = _pair(2)
-    problem = _problem(source, target)
-    signature = problem_signature(problem)
-    tables = problem.export_warm_tables()
-    path = tmp_path / "spill.json"
-    assert write_spill(path, signature, tables, max_states=100) or True
-    assert read_spill(path, signature) is not None
-    baseline = resilience_counters()
-    assert read_spill(path, "deadbeef" * 8) is None
-    delta = resilience_delta(baseline)
-    assert delta.get("resilience.store_torn_spill", 0) >= 1
-
-
 # -- store facade and engine wiring ------------------------------------------
 
 
@@ -394,27 +308,17 @@ def test_store_serves_verified_hit_bit_identically(tmp_path):
     )
 
 
-def test_kill_switch_restores_cold_path(tmp_path):
-    source, target = _pair(2)
-    _discover(source, target, store=tmp_path / "store")
-    with warm_store_disabled():
-        assert resolve_store(tmp_path / "store") is None
-        result = _discover(source, target, store=tmp_path / "store")
-    assert result.found
-    assert not result.served_from_store
-    assert result.states_examined > 0
-
-
 def test_store_info_and_gc(tmp_path):
     source, target = _pair(2)
-    store = WarmStartStore(tmp_path / "store", max_spills=0)
+    store = WarmStartStore(tmp_path / "store")
     _discover(source, target, store=store)
     info = store.info()
+    assert set(info) == {"path", "memo"}
     assert info["memo"]["entries"] == 1
-    assert info["spills"] == 1
     summary = store.gc()
-    assert summary["spills_dropped"] == 1
-    assert store.info()["spills"] == 0
+    assert summary["memo"]["kept"] == 1
+    assert summary["memo"]["dropped"] == 0
+    assert store.info()["memo"]["entries"] == 1
 
 
 def test_cli_store_info_and_gc(tmp_path, capsys):
@@ -428,3 +332,73 @@ def test_cli_store_info_and_gc(tmp_path, capsys):
     assert "memo: 1 entr(ies)" in out
     assert main(["store", "gc", "--path", store_dir]) == 0
     assert "kept" in capsys.readouterr().out
+
+
+# -- one artifact ------------------------------------------------------------
+
+
+def test_store_directory_holds_only_the_memo(tmp_path):
+    store_dir = tmp_path / "store"
+    source, target = _pair(2)
+    cold = _discover(source, target, store=store_dir)
+    assert cold.found and not cold.served_from_store
+    big_source, big_target = _pair(4)
+    cut = _discover(
+        big_source,
+        big_target,
+        store=store_dir,
+        config=SearchConfig(max_states=5),
+    )
+    assert cut.status == STATUS_BUDGET_EXCEEDED
+    repeat = _discover(source, target, store=store_dir)
+    assert repeat.served_from_store
+    assert [p.name for p in store_dir.rglob("*")] == ["memo.jsonl"]
+
+
+#: a store directory exactly as the version with per-problem search-table
+#: files left it after one ida/h0 discovery of ``matching_pair(2)``
+_OLD_MEMO = (
+    '{"kind":"header","store":"tupelo-memo","version":1}\n'
+    '{"algorithm":"ida","expression":"rename_att[R](A01 -> B01)\\n'
+    'rename_att[R](A02 -> B02)","fingerprint":"5e4522d6b5f7f51ff37233aea5120'
+    '3ca025ed93f675600a4b3559fe4add3b14b","heuristic":"h0","k":null,'
+    '"kind":"mapping","ops":2,"shape":"2e3223db0badf2741bad9cb66c3e5a3ad5588'
+    '637f67021a452830c7aa2d3666b","signature":"f493b2e719e535182cd8d8604b061'
+    '96829cbebe8d135ede014b81260636aedba","states_examined":15,"version":1}\n'
+)
+_OLD_WARM_NAME = (
+    "0c1e2236416c726af2e7cba67ba89d55dbf5d8d9fb9810bf6b50695a3033872e.json"
+)
+_OLD_WARM = {
+    "kind": "tupelo-warm-spill",
+    "version": 1,
+    "problem": _OLD_WARM_NAME[:-5],
+    "tables": {
+        "goals": [[0, False], [1, True]],
+        "heuristics": [{"entries": [[0, 0], [1, 0]], "k": None, "name": "h0"}],
+        "relations": [
+            ["R", ["A01", "A02"], [["a01", "a02"]]],
+            ["R", ["B01", "B02"], [["a01", "a02"]]],
+        ],
+        "states": [[0], [1]],
+        "successors": [],
+    },
+}
+
+
+def test_old_store_directory_serves_its_memo_and_ignores_leftovers(tmp_path):
+    store_dir = tmp_path / "store"
+    (store_dir / "warm").mkdir(parents=True)
+    (store_dir / "memo.jsonl").write_text(_OLD_MEMO, encoding="utf-8")
+    leftover = store_dir / "warm" / _OLD_WARM_NAME
+    leftover.write_text(json.dumps(_OLD_WARM), encoding="utf-8")
+    before = leftover.read_bytes()
+    source, target = _pair(2)
+    cold = _discover(source, target)
+    baseline = resilience_counters()
+    served = _discover(source, target, store=store_dir)
+    assert served.served_from_store
+    assert str(served.expression) == str(cold.expression)
+    assert resilience_delta(baseline) == {}
+    assert leftover.read_bytes() == before
+    assert (store_dir / "memo.jsonl").read_text(encoding="utf-8") == _OLD_MEMO

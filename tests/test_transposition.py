@@ -22,7 +22,6 @@ FLYWEIGHTS = (
     problem_module._rename_attribute_op,
     problem_module._dereference_op,
     problem_module._promote_op,
-    problem_module._operator_from_text,
 )
 
 

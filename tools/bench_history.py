@@ -57,7 +57,7 @@ TRACKED_METRICS: dict[str, tuple[str, ...]] = {
     ),
     "parallel_scaling": ("arms.workers_2.speedup",),
     "sql_backends": ("headline.sqlite_vs_minisql",),
-    "warm_start": ("headline.warm_vs_cold", "headline.preseed_vs_cold"),
+    "warm_start": ("headline.warm_vs_cold",),
 }
 
 
