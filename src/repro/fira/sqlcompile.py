@@ -166,23 +166,41 @@ def _compile_drop(op: DropAttribute, db: Database, d: SqlDialect) -> list[str]:
     ]
 
 
-def _compile_promote(op: Promote, db: Database, d: SqlDialect) -> list[str]:
-    rel = db.relation(op.relation)
-    name_pos = rel.attribute_position(op.name_attr)
-    new_names: list[str] = []
-    seen: set[str] = set()
+def _values_by_text(db: Database, relation: str, attr: str) -> dict[str, list]:
+    """Column *attr*'s distinct non-NULL values, grouped by their text.
+
+    Groups and the values inside them follow sorted row order.  Dynamic
+    operators name columns and tables by a value's *text*, so int ``2`` and
+    text ``"2"`` both select column ``"2"``; the SQL has to test the raw
+    values of each group, since the engines compare ``2`` and ``'2'`` as
+    different.
+    """
+    rel = db.relation(relation)
+    pos = rel.attribute_position(attr)
+    groups: dict[str, list] = {}
     for row in rel.sorted_rows():
-        value = row[name_pos]
+        value = row[pos]
         if is_null(value):
             continue
-        name = value_to_text(value)
-        if name and name not in seen:
-            seen.add(name)
-            new_names.append(name)
+        group = groups.setdefault(value_to_text(value), [])
+        if value not in group:
+            group.append(value)
+    return groups
+
+
+def _in_list(column: str, values: list, d: SqlDialect) -> str:
+    """``column IN (v1, v2, …)`` over raw value literals."""
+    literals = ", ".join(d.quote_literal(v) for v in values)
+    return f"{d.quote_identifier(column)} IN ({literals})"
+
+
+def _compile_promote(op: Promote, db: Database, d: SqlDialect) -> list[str]:
+    groups = _values_by_text(db, op.relation, op.name_attr)
     cases = ", ".join(
-        f"CASE WHEN {d.quote_identifier(op.name_attr)} = {d.quote_literal(name)} "
+        f"CASE WHEN {_in_list(op.name_attr, values, d)} "
         f"THEN {d.quote_identifier(op.value_attr)} END AS {d.quote_identifier(name)}"
-        for name in new_names
+        for name, values in groups.items()
+        if name
     )
     select_list = f"*, {cases}" if cases else "*"
     body = (
@@ -231,27 +249,27 @@ def _compile_dereference(op: Dereference, db: Database, d: SqlDialect) -> list[s
 
 
 def _compile_partition(op: Partition, db: Database, d: SqlDialect) -> list[str]:
-    rel = db.relation(op.relation)
-    pos = rel.attribute_position(op.attribute)
-    names: list = []
-    seen = set()
-    for row in rel.sorted_rows():
-        value = row[pos]
-        if value not in seen:
-            seen.add(value)
-            names.append(value)
+    groups = _values_by_text(db, op.relation, op.attribute)
     statements = [
         f"-- partition: table names below come from the data of "
         f"{op.attribute!r} (instance-directed)"
     ]
-    for value in names:
-        table = value_to_text(value)
+    source = op.relation
+    if source in groups:
+        # one partition takes the source's own name: move the source aside
+        # so that CREATE TABLE does not meet the table it reads from
+        source = op.relation + "__tupelo_tmp"
+        statements.append(
+            f"ALTER TABLE {d.quote_identifier(op.relation)} "
+            f"RENAME TO {d.quote_identifier(source)};"
+        )
+    for table, values in groups.items():
         statements.append(
             f"CREATE TABLE {d.quote_identifier(table)} AS "
-            f"SELECT {d.select_modifier()}* FROM {d.quote_identifier(op.relation)} "
-            f"WHERE {d.quote_identifier(op.attribute)} = {d.quote_literal(value)};"
+            f"SELECT {d.select_modifier()}* FROM {d.quote_identifier(source)} "
+            f"WHERE {_in_list(op.attribute, values, d)};"
         )
-    statements.append(f"DROP TABLE {d.quote_identifier(op.relation)};")
+    statements.append(f"DROP TABLE {d.quote_identifier(source)};")
     return statements
 
 

@@ -7,6 +7,10 @@ over the token universe of the critical instances; since almost every
 component is zero we represent vectors sparsely — all three distances only
 involve the union of the two supports.
 
+The heuristics go one step further and never materialise a state's vector:
+every distance is a function of ``‖s‖²``, ``‖t‖²`` and ``s·t``, and since a
+``(REL, ATT)`` pair names exactly one column, those sums split into
+per-column sums over the column's text counts (see ``docs/heuristics.md``).
 """
 
 from __future__ import annotations
@@ -20,14 +24,17 @@ from .base import Heuristic, ScaledHeuristic, round_half_up
 
 TermVector = Counter
 
+#: the target-column map of a relation the target lacks (never mutated)
+_NO_COLUMNS: dict = {}
+
 
 def term_vector(db: Database) -> TermVector:
     """The sparse (REL, ATT, VALUE)-triple count vector of *db*.
 
-    Memoised on *db* alongside the other TNF-derived views (the underlying
-    ``tnf_triples`` tuple was already cached; the Counter built from it was
-    not, and heuristics call this once per estimate).  The returned Counter
-    is shared — treat it as read-only.
+    The reference definition of the §3 vector.  The heuristics below never
+    build it: they score from per-column text counts, and the tests compare
+    their estimates against the formulas here.  Memoised on *db*; the
+    returned Counter is shared — treat it as read-only.
     """
     return db.cached_view("term_vector", lambda: Counter(tnf_triples(db)))
 
@@ -43,22 +50,9 @@ def vector_norm(vector: TermVector) -> float:
     return math.sqrt(sum(count * count for count in vector.values()))
 
 
-def cosine_similarity(
-    left: TermVector,
-    right: TermVector,
-    left_norm: float | None = None,
-    right_norm: float | None = None,
-) -> float:
-    """Cosine of the angle between two sparse vectors (0 for a zero vector).
-
-    Callers that hold one operand fixed (heuristics compiled against a
-    target) can pass its precomputed norm to skip recomputing it per call.
-    """
-    if left_norm is None:
-        left_norm = vector_norm(left)
-    if right_norm is None:
-        right_norm = vector_norm(right)
-    denominator = left_norm * right_norm
+def cosine_similarity(left: TermVector, right: TermVector) -> float:
+    """Cosine of the angle between two sparse vectors (0 for a zero vector)."""
+    denominator = vector_norm(left) * vector_norm(right)
     if denominator == 0:
         return 0.0
     dot = sum(left[k] * right[k] for k in left.keys() & right.keys())
@@ -66,14 +60,55 @@ def cosine_similarity(
 
 
 class _TargetVectorMixin:
-    """Shared target-side compilation for the triple-space heuristics."""
+    """Shared target-side compilation and per-state aggregates.
+
+    The three estimates need only two exact integers per state:
+    ``sum_sq = Σ count²`` and ``dot = Σ count·target_count``.  No two
+    columns of a database share a ``(REL, ATT)`` key, so both sums split
+    over columns, and each column contributes from its own text-count
+    multiset (:meth:`~repro.relational.relation.Relation.column_text_counts`,
+    which renames carry from the parent state).  The target is compiled
+    once into ``{rel: {att: {text id: count}}}`` (nested, so a lookup
+    builds no key tuple).
+    """
 
     def _compile_target(self, target: Database) -> None:
-        self._target_vector = term_vector(target)
+        columns: dict[str, dict[str, dict[int, int]]] = {}
+        sum_sq = 0
+        for rel in target:
+            by_attr = columns[rel.name] = {}
+            for attr, pairs in zip(rel.attributes, rel.column_text_counts()):
+                if pairs:
+                    by_attr[attr] = dict(pairs)
+                    sum_sq += sum(count * count for _, count in pairs)
+        self._target_columns = columns
+        self._target_sum_sq = sum_sq
+        self._target_norm = math.sqrt(sum_sq)
+
+    def _aggregates(self, state: Database) -> tuple[int, int]:
+        """``(Σ count², Σ count·target_count)`` of *state*'s term vector."""
+        target_columns = self._target_columns
+        sum_sq = dot = 0
+        for rel in state:
+            by_attr = target_columns.get(rel.name, _NO_COLUMNS)
+            for attr, pairs in zip(rel.attributes, rel.column_text_counts()):
+                target = by_attr.get(attr)
+                if target is None:
+                    for _, count in pairs:
+                        sum_sq += count * count
+                else:
+                    get = target.get
+                    for text_id, count in pairs:
+                        sum_sq += count * count
+                        dot += count * get(text_id, 0)
+        return sum_sq, dot
 
 
 class EuclideanHeuristic(_TargetVectorMixin, Heuristic):
-    """hE — unnormalized Euclidean distance in triple space."""
+    """hE — unnormalized Euclidean distance in triple space.
+
+    ``‖s − t‖² = ‖s‖² + ‖t‖² − 2·s·t``, evaluated in exact integers.
+    """
 
     name = "euclid"
 
@@ -82,7 +117,8 @@ class EuclideanHeuristic(_TargetVectorMixin, Heuristic):
         self._compile_target(target)
 
     def estimate(self, state: Database) -> int:
-        return round_half_up(euclidean_distance(term_vector(state), self._target_vector))
+        sum_sq, dot = self._aggregates(state)
+        return round_half_up(math.sqrt(sum_sq + self._target_sum_sq - 2 * dot))
 
 
 class NormalizedEuclideanHeuristic(_TargetVectorMixin, ScaledHeuristic):
@@ -99,24 +135,15 @@ class NormalizedEuclideanHeuristic(_TargetVectorMixin, ScaledHeuristic):
     def __init__(self, target: Database, k: float | None = None) -> None:
         super().__init__(target, k)
         self._compile_target(target)
-        self._target_sum_sq = sum(
-            count * count for count in self._target_vector.values()
-        )
 
     def estimate(self, state: Database) -> int:
-        state_vector = term_vector(state)
-        sum_sq = sum(count * count for count in state_vector.values())
+        sum_sq, dot = self._aggregates(state)
         target_sum_sq = self._target_sum_sq
         if sum_sq == 0 and target_sum_sq == 0:
             return 0  # both databases are empty of cells
         if sum_sq == 0 or target_sum_sq == 0:
             return round_half_up(self.k)
-        target_vector = self._target_vector
-        dot = sum(
-            state_vector[k] * target_vector[k]
-            for k in state_vector.keys() & target_vector.keys()
-        )
-        cosine = dot / (math.sqrt(sum_sq) * math.sqrt(target_sum_sq))
+        cosine = dot / (math.sqrt(sum_sq) * self._target_norm)
         squared = max(0.0, 2.0 - 2.0 * cosine)
         return round_half_up(self.k * math.sqrt(squared))
 
@@ -130,13 +157,11 @@ class CosineHeuristic(_TargetVectorMixin, ScaledHeuristic):
     def __init__(self, target: Database, k: float | None = None) -> None:
         super().__init__(target, k)
         self._compile_target(target)
-        self._target_norm = vector_norm(self._target_vector)
 
     def estimate(self, state: Database) -> int:
-        state_vector = term_vector(state)
-        if not state_vector and not self._target_vector:
+        sum_sq, dot = self._aggregates(state)
+        if sum_sq == 0 and self._target_sum_sq == 0:
             return 0  # both databases are empty of cells
-        similarity = cosine_similarity(
-            state_vector, self._target_vector, right_norm=self._target_norm
-        )
+        denominator = math.sqrt(sum_sq) * self._target_norm
+        similarity = 0.0 if denominator == 0 else dot / denominator
         return round_half_up(self.k * (1.0 - similarity))

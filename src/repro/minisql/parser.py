@@ -298,6 +298,14 @@ class _Parser:
             negated = self._accept_keyword("NOT")
             self._expect_keyword("NULL")
             return IsNull(left, negated)
+        if self._accept_keyword("IN"):
+            # ``x IN (a, b)`` is ``x = a OR x = b``, NULLs included
+            self._expect_symbol("(")
+            options = [Comparison("=", left, self._expr())]
+            while self._accept_symbol(","):
+                options.append(Comparison("=", left, self._expr()))
+            self._expect_symbol(")")
+            return options[0] if len(options) == 1 else BoolOp("OR", tuple(options))
         for op in ("=", "<>"):
             if self._accept_symbol(op):
                 return Comparison(op, left, self._expr())

@@ -26,6 +26,7 @@ cache through a returned reference.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -386,6 +387,34 @@ class Relation:
         views["column_text_id_sets"] = value
         return value
 
+    def column_text_counts(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-column text-id multisets, aligned with :attr:`attributes`.
+
+        Column ``i`` is the sorted ``(text id, count)`` pairs of its non-NULL
+        cells: how many rows render each text there (``1`` and ``"1"`` share
+        one text).  This is the column's slice of the §3 term vector, which
+        the vector heuristics score from (memoised).  Renames carry it by
+        the same permutation as :meth:`column_text_id_sets`; projections do
+        not, because collapsing duplicate rows changes counts.
+        """
+        views = self._views
+        hit = views.get("column_text_counts")
+        if hit is not None:
+            return hit
+        text_ids = TEXT_IDS
+        token_rows = self._token_rows
+        counts = []
+        for pos in range(len(self._attributes)):
+            column = Counter(
+                text_ids[t]
+                for t in map(itemgetter(pos), token_rows)
+                if t != NULL_TOKEN
+            )
+            counts.append(tuple(sorted(column.items())))
+        value = tuple(counts)
+        views["column_text_counts"] = value
+        return value
+
     def column_text_ids(self, attr: str) -> frozenset[int]:
         """Token ids of the text forms of column *attr*'s non-NULL values.
 
@@ -522,9 +551,11 @@ class Relation:
         column — true for renames (rows untouched) and for projections
         (duplicate-row collapse never removes the last copy of a value) —
         and the transfer is a single tuple permutation sharing the member
-        frozensets.  Unless *columns_only*, whole-relation cell aggregates
-        (value text ids, has-nulls) transfer too; those are
-        permutation-invariant but not projection-safe.
+        frozensets.  Unless *columns_only*, the cell-count views transfer
+        too: the per-column text counts and the whole-relation aggregates
+        (value text ids, has-nulls).  None of those is projection-safe, and
+        the only caller that keeps them (:meth:`renamed`) keeps every column
+        in place.
         """
         src = self._views
         if not src:
@@ -542,7 +573,7 @@ class Relation:
             return
         miss = _TRANSPLANT_MISS
         get = src.get
-        for key in ("value_text_ids", "has_nulls"):
+        for key in ("column_text_counts", "value_text_ids", "has_nulls"):
             hit = get(key, miss)
             if hit is not miss:
                 dst[key] = hit
@@ -612,6 +643,11 @@ class Relation:
             if cols is not None:
                 dst["column_text_id_sets"] = (
                     cols if perm is None else tuple(map(cols.__getitem__, perm))
+                )
+            counts = src.get("column_text_counts")
+            if counts is not None:
+                dst["column_text_counts"] = (
+                    counts if perm is None else tuple(map(counts.__getitem__, perm))
                 )
             hit = src.get("value_text_ids")
             if hit is not None:

@@ -245,6 +245,39 @@ class TestDegenerateInputs:
         assert {"sqlite", "minisql"} <= set(BACKENDS)
         assert_all_backends_match(MappingExpression([Merge("R", "A")]), db)
 
+    def test_promote_non_text_names(self):
+        """Int names become columns "2"/"3"; int 2 and text "2" share one."""
+        db = Database.single(
+            Relation(
+                "R",
+                ("K", "N", "V"),
+                [("a", 2, "x"), ("a", 3, "y"), ("b", 2, "z"), ("c", "2", "w")],
+            )
+        )
+        algebra = assert_all_backends_match(
+            MappingExpression([Promote("R", "N", "V")]), db
+        )
+        assert algebra.relation("R").column_values("2") == {"x", "z", "w"}
+
+    def test_partition_value_named_like_its_relation(self):
+        """One partition takes the source's own name, "R"."""
+        db = Database.single(
+            Relation("R", ("A", "B"), [("R", 1), ("S", 2), ("R", 3)])
+        )
+        algebra = assert_all_backends_match(
+            MappingExpression([Partition("R", "A")]), db
+        )
+        assert algebra.relation_names == ("R", "S")
+
+    def test_partition_int_and_text_values_share_a_table(self):
+        db = Database.single(
+            Relation("R", ("A", "B"), [(1, "x"), ("1", "y"), (2, "z")])
+        )
+        algebra = assert_all_backends_match(
+            MappingExpression([Partition("R", "A")]), db
+        )
+        assert algebra.relation("1").cardinality == 2
+
     def test_select_to_empty(self):
         db = Database.single(Relation("R", ("A",), [("x",), ("y",)]))
         assert_all_backends_match(

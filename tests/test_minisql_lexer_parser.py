@@ -8,6 +8,7 @@ from repro.minisql import SqlSyntaxError, parse_script, parse_select, tokenize
 from repro.minisql.lexer import IDENT, NUMBER, QIDENT, STRING, SYMBOL
 from repro.minisql.nodes import (
     Aggregate,
+    BoolOp,
     CaseWhen,
     Cast,
     ColumnRef,
@@ -182,6 +183,16 @@ class TestSelectParsing:
     def test_where_comparison(self):
         select = parse_select("SELECT * FROM \"R\" WHERE \"A\" = 'v'")
         assert select.where == Comparison("=", ColumnRef("A"), Literal("v"))
+
+    def test_in_list_desugars_to_equalities(self):
+        select = parse_select("SELECT * FROM \"R\" WHERE \"A\" IN (2, '2')")
+        a = ColumnRef("A")
+        assert select.where == BoolOp(
+            "OR",
+            (Comparison("=", a, Literal(2)), Comparison("=", a, Literal("2"))),
+        )
+        single = parse_select("SELECT * FROM \"R\" WHERE \"A\" IN ('v')")
+        assert single.where == Comparison("=", a, Literal("v"))
 
     def test_is_not_null(self):
         select = parse_select('SELECT * FROM "R" WHERE "A" IS NOT NULL')
